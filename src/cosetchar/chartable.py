@@ -1,20 +1,33 @@
 """Exact character tables of finite permutation groups.
 
 The table is computed modulo a prime p = 1 (mod exponent) via the common
-eigenvectors of the class-algebra multiplication matrices, then lifted to
-exact cyclotomic values through discrete Fourier sums of the modular
-character values on element powers.  Every table is certified on
-construction: row and column orthogonality hold exactly, degrees divide
-the group order, and the squared degrees sum to it.
+eigenvectors of the class-algebra multiplication matrices, found from the
+roots in F_p of each restricted matrix's characteristic polynomial.  It is
+then lifted to exact cyclotomic values through discrete Fourier sums of
+the modular character values on element powers.  The lifted multiplicities
+give two views of one table: `Cyclotomic` rows for callers and output, and
+an integer array of power-basis coefficients at the group exponent e,
+which orders the rows and carries the certificate.
+
+Every table is certified on construction: degrees divide the group order,
+the squared degrees sum to it, values are algebraic integers, and row and
+column orthogonality hold exactly for the hermitian inner product.  The
+orthogonality sums are integer convolutions, one matrix product per
+coefficient shift, reduced mod the e-th cyclotomic polynomial once per
+sum.  They run in float64 only when a bound computed from the data proves
+every partial sum an integer below 2**53, and on Python integers
+otherwise, so they are exact either way.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .cyclotomic import Cyclotomic, from_rational, from_terms
+import numpy as np
+
+from .cyclotomic import Cyclotomic, _is_prime, _power_table, from_rational, from_terms
 from .errors import ensure
 from .groups import ConjugacyClasses, FiniteGroup, Subgroup, conjugacy_classes
 
@@ -77,14 +90,16 @@ class CharacterTable:
 
     Rows are sorted by degree, then by descending lexicographic order of
     their coefficient vectors at the group exponent, which puts the
-    all-ones trivial character first.
+    all-ones trivial character first.  `coeffs[i, k]` holds the integer
+    power-basis coefficients of `rows[i].values[k]` at the exponent.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyClasses,
-                 rows: Sequence[ClassFunction]):
+                 rows: Sequence[ClassFunction], coeffs: np.ndarray):
         self.group = group
         self.classes = classes
         self.rows = tuple(rows)
+        self.coeffs = coeffs
         self.degrees = tuple(int(r.values[0].as_rational()) for r in self.rows)
         self.exponent = lcm(*(group.element_order(r) for r in classes.representatives))
         self._lookup: dict | None = None
@@ -99,7 +114,8 @@ class CharacterTable:
     def find_row(self, values: Iterable[Cyclotomic]) -> Optional[int]:
         """Index of the row with exactly these values, or None."""
         if self._lookup is None:
-            self._lookup = {self.row_key(r.values): i for i, r in enumerate(self.rows)}
+            # integer keys hash and compare equal to the Fraction keys of row_key
+            self._lookup = {tuple(map(tuple, c)): i for i, c in enumerate(self.coeffs.tolist())}
         return self._lookup.get(self.row_key(values))
 
     def __repr__(self):
@@ -179,15 +195,6 @@ def _element_power(G: FiniteGroup, element: int, k: int) -> int:
 
 
 # -- modular linear algebra --------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
 
 
 def _find_prime(group_order: int, exponent: int) -> int:
@@ -273,6 +280,134 @@ def _subspace_action(A: list[list[int]], basis: list[tuple[int, ...]],
     return [rows[i][d:] for i in range(d)]
 
 
+def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
+    """det(x*I - mat) over F_p, coefficients low degree first.
+
+    Reduces the matrix to upper Hessenberg form by similarity transforms,
+    then expands along the subdiagonal.  Only pivots are inverted, never
+    small integers, so it works in every characteristic, also when the
+    size reaches p.
+    """
+    d = len(mat)
+    h = [[v % p for v in row] for row in mat]
+    for m in range(1, d - 1):
+        pivot = next((i for i in range(m, d) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], p - 2, p)
+        for i in range(m + 1, d):
+            f = h[i][m - 1] * inv % p
+            if f:
+                # row_i -= f * row_m, then col_m += f * col_i keeps the similarity
+                h[i] = [(a - f * b) % p for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + f * row[i]) % p
+    polys = [[1]]
+    for m in range(d):
+        nxt = [0] + polys[m]
+        for i, c in enumerate(polys[m]):
+            nxt[i] -= h[m][m] * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            coef = h[i][m] * sub
+            if coef:
+                for j, c in enumerate(polys[i]):
+                    nxt[j] -= coef * c
+        polys.append([c % p for c in nxt])
+    return polys[d]
+
+
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over F_p; b has a nonzero leading coefficient."""
+    rem = list(a)
+    inv = pow(b[-1], p - 2, p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        quot[i] = c
+        if c:
+            for j, bc in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bc) % p
+    rem = rem[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of polynomials given without leading zeros."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_powmod(base: list[int], k: int, f: list[int], p: int) -> list[int]:
+    """base^k modulo f over F_p."""
+    result, base = [1], _poly_divmod(base, f, p)[1]
+    while k:
+        if k & 1:
+            result = _poly_divmod(_poly_mul(result, base, p), f, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
+        k >>= 1
+    return result
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
+           for i in range(max(len(a), len(b)))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _eigenvalues_mod(mat: list[list[int]], p: int) -> list[int]:
+    """The distinct eigenvalues in F_p of a square matrix, p an odd prime.
+
+    They are the roots of the characteristic polynomial f: gcd(f, x^p - x)
+    is the product of the x - lambda, which gcds with (x + delta)^((p-1)/2) - 1
+    split down to linear factors.  Such a gcd separates two roots for about
+    half of all shifts delta, so the search over delta rarely passes 2; the
+    cost is polynomial in the size and in log p, with no scan of F_p.
+    """
+    if p % 2 == 0:
+        raise ValueError(f"eigenvalues need an odd prime, got {p}")
+    f = _charpoly_mod(mat, p)
+    x = [0, 1]
+    pending = [_poly_gcd(f, _poly_sub(_poly_powmod(x, p, f, p), x, p), p)]
+    roots = []
+    while pending:
+        g = pending.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+            continue
+        if len(g) < 2:
+            continue
+        for delta in range(p):
+            half = _poly_powmod([delta, 1], (p - 1) // 2, g, p)
+            h = _poly_gcd(g, _poly_sub(half, [1], p), p)
+            if 1 < len(h) < len(g):
+                pending += [h, _poly_divmod(g, h, p)[0]]
+                break
+    return sorted(roots)
+
+
 def _dixon_omegas(constants: list[list[list[int]]], r: int, p: int) -> list[tuple[int, ...]]:
     """Common eigenvector directions of the class matrices, normalized so the
     identity-class coordinate is 1."""
@@ -291,17 +426,16 @@ def _dixon_omegas(constants: list[list[list[int]]], r: int, p: int) -> list[tupl
             d = len(basis)
             X = _subspace_action(A, basis, p)
             found = 0
-            for lam in range(p):
+            for lam in _eigenvalues_mod(X, p):
                 shifted = [[(X[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                            for i in range(d)]
                 null = _nullspace_mod(shifted, p)
-                if null:
-                    found += len(null)
-                    new_spaces.append([
-                        tuple(sum(vec[j] * basis[j][i] for j in range(d)) % p
-                              for i in range(r))
-                        for vec in null
-                    ])
+                found += len(null)
+                new_spaces.append([
+                    tuple(sum(vec[j] * basis[j][i] for j in range(d)) % p
+                          for i in range(r))
+                    for vec in null
+                ])
             ensure(found == d, "class matrix did not diagonalize")
         spaces = new_spaces
     ensure(all(len(b) == 1 for b in spaces), "common eigenspaces did not split to lines")
@@ -312,6 +446,32 @@ def _dixon_omegas(constants: list[list[list[int]]], r: int, p: int) -> list[tupl
         scale = pow(v[0], p - 2, p)
         omegas.append(tuple((x * scale) % p for x in v))
     return omegas
+
+
+def _lift_class(G: FiniteGroup, classes: ConjugacyClasses, k: int, xvals: np.ndarray,
+                degrees: np.ndarray, theta: int, exponent: int, p: int) -> np.ndarray:
+    """Eigenvalue multiplicities of every character on class k: entry [i, j]
+    counts zeta_n^j among the eigenvalues of a representative g of order n
+    in the representation of row i, from the discrete Fourier sums
+    (1/n) sum_l chi_i(g^l) theta_n^(-jl) of the modular values."""
+    rep = classes.representatives[k]
+    n = G.element_order(rep)
+    power_classes = [0]
+    cur = 0
+    for _ in range(n - 1):
+        cur = G.mul(cur, rep)
+        power_classes.append(classes.class_of[cur])
+    ensure(n * p * p < 2**63, "modular Fourier sums overflow int64")
+    theta_n = pow(theta, exponent // n, p)
+    tn_pows = np.array([pow(theta_n, t, p) for t in range(n)], dtype=np.int64)
+    steps = np.arange(n)
+    fourier = tn_pows[np.outer(steps, -steps) % n]
+    mults = (xvals[:, power_classes] @ fourier) % p * pow(n, p - 2, p) % p
+    ensure(np.array_equal(mults.sum(axis=1), degrees),
+           "lifted multiplicities do not sum to the degree")
+    ensure(np.array_equal((mults @ tn_pows) % p, xvals[:, k]),
+           "lifted value does not reduce back to the modular value")
+    return mults
 
 
 def character_table(G: FiniteGroup, classes: ConjugacyClasses | None = None) -> CharacterTable:
@@ -327,46 +487,80 @@ def character_table(G: FiniteGroup, classes: ConjugacyClasses | None = None) -> 
 
     inv_class = [classes.class_of[G.inv(rep)] for rep in classes.representatives]
     size_inv = [pow(s, p - 2, p) for s in classes.sizes]
-    gen = _primitive_root(p)
-    theta = pow(gen, (p - 1) // exponent, p)
-
-    rows = []
+    degrees = []
     for omega in omegas:
         c = sum(omega[k] * omega[inv_class[k]] * size_inv[k] for k in range(r)) % p
         ensure(c != 0, "degree normalization vanished")
         d2 = (G.order % p) * pow(c, p - 2, p) % p
         degree = next((t for t in range(1, (p + 1) // 2) if t * t % p == d2), None)
         ensure(degree is not None, "no degree square root in range")
-        xvals = [degree * omega[k] * size_inv[k] % p for k in range(r)]
+        degrees.append(degree)
+    xvals = np.array([[d * w[k] * size_inv[k] % p for k in range(r)]
+                      for d, w in zip(degrees, omegas)], dtype=np.int64)
+    theta = pow(_primitive_root(p), (p - 1) // exponent, p)
 
-        values = []
-        for k, rep in enumerate(classes.representatives):
-            n = G.element_order(rep)
-            theta_n = pow(theta, exponent // n, p)
-            tn_pows = [pow(theta_n, t, p) for t in range(n)]
-            xs = []
-            cur = 0
-            for _ in range(n):
-                xs.append(xvals[classes.class_of[cur]])
-                cur = G.mul(cur, rep)
-            n_inv = pow(n, p - 2, p)
-            mults = []
-            for j in range(n):
-                mj = n_inv * sum(xs[l] * tn_pows[(-j * l) % n] for l in range(n)) % p
-                mults.append(mj)
-            ensure(sum(mults) == degree, "lifted multiplicities do not sum to the degree")
-            ensure(sum(m * tn_pows[j] for j, m in enumerate(mults)) % p == xvals[k],
-                   "lifted value does not reduce back to the modular value")
-            values.append(from_terms(n, ((j, m) for j, m in enumerate(mults) if m)))
-        rows.append(ClassFunction(G, classes, values))
+    powers = np.array(_power_table(exponent), dtype=np.int64)
+    # multiplicities are nonnegative and sum to the degree, so this bounds
+    # every partial sum of the coefficient products below
+    ensure(max(degrees) * int(np.abs(powers).max()) < 2**63,
+           "character coefficients overflow int64")
+    coeffs = np.zeros((r, r, powers.shape[1]), dtype=np.int64)
+    values: list[list[Cyclotomic]] = [[] for _ in range(r)]
+    degree_array = np.array(degrees)
+    for k in range(r):
+        mults = _lift_class(G, classes, k, xvals, degree_array, theta, exponent, p)
+        n = mults.shape[1]
+        coeffs[:, k] = mults @ powers[::exponent // n]
+        for i, row in enumerate(mults.tolist()):
+            values[i].append(from_terms(n, ((j, m) for j, m in enumerate(row) if m)))
 
-    rows.sort(key=lambda row: (
-        int(row.values[0].as_rational()),
-        tuple(tuple(-c for c in v.coeff_key(exponent)) for v in row.values),
-    ))
-    table = CharacterTable(G, classes, rows)
+    order = sorted(range(r), key=lambda i: (degrees[i], (-coeffs[i]).ravel().tolist()))
+    table = CharacterTable(G, classes, [ClassFunction(G, classes, values[i]) for i in order],
+                           coeffs[order])
     _certify_table(table)
     return table
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max())
+
+
+def _exact_dtype(bound: int):
+    """float64 when `bound` proves every partial sum an integer below 2**53,
+    which float64 holds exactly; Python integers otherwise."""
+    return np.float64 if bound < 2**53 else object
+
+
+def _hermitian_gram(X: np.ndarray, weights: Sequence[int], exponent: int) -> np.ndarray:
+    """Exact hermitian Gram matrix of rows of cyclotomic integers.
+
+    X[i, k] holds power-basis coefficients at `exponent`.  Entry [i, j] of
+    the result holds the coefficients of sum_k weights[k] X[i, k] conj(X[j, k]),
+    reduced mod the cyclotomic polynomial.  Conjugation is the integer
+    matrix sending zeta^a to the reduced zeta^-a, so it does not assume the
+    rows are characters.  The product is a convolution: one matrix product
+    per coefficient shift a, then one reduction of the 2*phi - 1 sums.
+    """
+    n, c, phi = X.shape
+    powers = np.array(_power_table(exponent), dtype=object)
+    conj = powers[-np.arange(phi) % exponent]
+    fold = powers[np.arange(2 * phi - 1) % exponent]
+    bx, bp = _max_abs(X), _max_abs(powers)
+    dtype = _exact_dtype(phi * bx * bp)
+    Y = X.astype(dtype) @ conj.astype(dtype)
+    if dtype is np.float64:
+        Y = Y.astype(np.int64)  # exact integers, so the object branch below gets ints
+    by = _max_abs(Y)
+    # every term of a sum is bounded by bx * by (convolution) and then by
+    # the products with the reduction rows; sums of absolute values bound
+    # every partial sum, in whatever order the products are accumulated
+    dtype = _exact_dtype(sum(weights) * phi * bx * by * (2 * phi - 1) * bp)
+    W = X.astype(dtype) * np.array(weights, dtype=dtype)[None, :, None]
+    Yt = Y.astype(dtype).transpose(1, 0, 2).reshape(c, n * phi)
+    S = np.zeros((n, n, 2 * phi - 1), dtype=dtype)
+    for a in range(phi):
+        S[:, :, a:a + phi] += (W[:, :, a] @ Yt).reshape(n, n, phi)
+    return S @ fold.astype(dtype)
 
 
 def _certify_table(table: CharacterTable) -> None:
@@ -379,25 +573,28 @@ def _certify_table(table: CharacterTable) -> None:
     for row in table.rows:
         ensure(all(v.is_integral() for v in row.values),
                "character value is not an algebraic integer")
-    for i in range(r):
-        for j in range(i, r):
-            ip = inner_product(table.rows[i], table.rows[j])
-            ensure(ip == (1 if i == j else 0), "row orthogonality failed")
-    for c1 in range(r):
-        for c2 in range(c1, r):
-            total = from_rational(0)
-            for row in table.rows:
-                total = total + row.values[c1] * row.values[c2].conjugate()
-            want = Fraction(G.order, classes.sizes[c1]) if c1 == c2 else 0
-            ensure(total == want, "column orthogonality failed")
+    X = table.coeffs
+    ensure(np.issubdtype(X.dtype, np.integer) and X.shape[:2] == (r, r),
+           "coefficient array is not an integer rows x classes array")
+    want = np.zeros((r, r, X.shape[2]), dtype=np.int64)
+    want[:, :, 0] = np.diag([G.order] * r)
+    ensure(np.array_equal(_hermitian_gram(X, classes.sizes, table.exponent), want),
+           "row orthogonality failed")
+    want[:, :, 0] = np.diag([G.order // s for s in classes.sizes])
+    ensure(np.array_equal(_hermitian_gram(X.transpose(1, 0, 2), [1] * r, table.exponent),
+                          want),
+           "column orthogonality failed")
 
 
 def restriction_norm(chi: ClassFunction, normal: Subgroup) -> int:
-    """The exact norm of the restriction to a subgroup: (1/#N) sum |chi|^2 over N."""
+    """The exact norm of the restriction to a subgroup: (1/#N) sum |chi|^2 over N,
+    summed over the classes of the group that meet N, each weighted by the
+    number of members of N it holds."""
+    meets = Counter(chi.classes.class_of[n] for n in normal.members)
     total = from_rational(0)
-    for n in normal.members:
-        v = chi.value_at(n)
-        total = total + v * v.conjugate()
+    for k, count in meets.items():
+        v = chi.values[k]
+        total = total + v * v.conjugate() * count
     val = total / normal.order
     ensure(val.is_rational() and val.as_rational().denominator == 1,
            "restriction norm is not an integer")

@@ -217,7 +217,7 @@ def _cmd_invert(args) -> int:
     else:
         spec = parse_theta(_read_file(args.theta),
                            n_classes=analysis.classes.n_classes,
-                           n_rows=table.n_rows)
+                           n_rows=table.n_rows, exponent=table.exponent)
         if spec.multiplicities is not None:
             theta = Theta.from_multiplicities(table, spec.multiplicities)
         else:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Union
+
+from .errors import ensure
 
 Rational = Union[int, Fraction]
 
@@ -42,6 +44,15 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for d in range(2, isqrt(n) + 1):
+        if n % d == 0:
+            return False
+    return True
+
+
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     # division of integer polynomials known to be exact; den is monic
     out = [0] * (len(num) - len(den) + 1)
@@ -52,7 +63,7 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         if c:
             for j, dc in enumerate(den):
                 rem[i + j] -= c * dc
-    assert not any(rem), "cyclotomic polynomial division was not exact"
+    ensure(not any(rem), "cyclotomic polynomial division was not exact")
     return out
 
 
@@ -316,7 +327,7 @@ def _demotion_matrix(n: int, big: int) -> tuple[tuple[Fraction, ...], ...]:
     order-`big` field) for columns; it has full column rank, so applying E to
     a coefficient vector solves membership in the smaller field exactly.
     """
-    assert big % n == 0
+    ensure(big % n == 0, "demotion target order does not divide the field order")
     dn, db = euler_phi(n), euler_phi(big)
     step = big // n
     cols = [_reduce_terms(big, [(j * step, Fraction(1))]) for j in range(dn)]
@@ -383,13 +394,20 @@ def value_to_json(value: Cyclotomic) -> dict:
     }
 
 
-def value_from_json(obj) -> Cyclotomic:
-    """Parse an int, a [num, den] pair, or the dict form from value_to_json."""
+def value_from_json(obj, exponent: Optional[int] = None) -> Cyclotomic:
+    """Parse an int, a [num, den] pair, or the dict form from value_to_json.
+
+    With `exponent` given, the order of the dict form must divide it.  The
+    order sets the size of every later polynomial, so it is checked first.
+    """
     if isinstance(obj, int):
         return from_rational(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(x, int) for x in obj):
         return from_rational(Fraction(obj[0], obj[1]))
     if isinstance(obj, dict) and "order" in obj and "coeffs" in obj:
+        order = int(obj["order"])
+        if exponent is not None and (order < 1 or exponent % order):
+            raise ValueError(f"order {order} does not divide the group exponent {exponent}")
         coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
-        return Cyclotomic(int(obj["order"]), coeffs)
+        return Cyclotomic(order, coeffs)
     raise ValueError(f"cannot interpret {obj!r} as a cyclotomic value")

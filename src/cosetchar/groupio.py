@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclotomic import Cyclotomic, value_from_json
+from .cyclotomic import Cyclotomic, _is_prime, value_from_json
 from .errors import HypothesisError, ParseError
 from .groups import (
     DEFAULT_ORDER_LIMIT,
@@ -55,17 +55,6 @@ class ThetaSpec:
 
 
 AnyGroupSpec = Union[GroupSpec, MatrixGroupSpec]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> Permutation:
@@ -204,8 +193,13 @@ def parse_group_spec(text: str) -> AnyGroupSpec:
 
 
 def parse_theta(text: str, n_classes: Optional[int] = None,
-                n_rows: Optional[int] = None) -> ThetaSpec:
-    """Parse a character given as JSON multiplicities or class values."""
+                n_rows: Optional[int] = None,
+                exponent: Optional[int] = None) -> ThetaSpec:
+    """Parse a character given as JSON multiplicities or class values.
+
+    With `exponent` (the group exponent) given, each value's order must
+    divide it.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -229,8 +223,8 @@ def parse_theta(text: str, n_classes: Optional[int] = None,
     if not isinstance(raw, list):
         raise ParseError("values must be a list")
     try:
-        values = tuple(value_from_json(v) for v in raw)
-    except (ValueError, TypeError, KeyError) as exc:
+        values = tuple(value_from_json(v, exponent) for v in raw)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise ParseError(f"bad character value: {exc}") from exc
     if n_classes is not None and len(values) != n_classes:
         raise ParseError(f"expected {n_classes} values, got {len(values)}")

@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cosetchar.chartable import (
     CharacterTable,
     ClassFunction,
     PowerMap,
+    _certify_table,
+    _dixon_omegas,
+    _eigenvalues_mod,
+    _hermitian_gram,
+    _nullspace_mod,
     character_table,
     class_constants,
     inner_product,
@@ -13,7 +20,10 @@ from cosetchar.chartable import (
     restrict,
     restriction_norm,
 )
-from cosetchar.cyclotomic import from_rational, root_of_unity
+from cosetchar.corpus import corpus_specs
+from cosetchar.cyclotomic import Cyclotomic, _power_table, from_rational, root_of_unity
+from cosetchar.errors import InternalCheckError, ensure
+from cosetchar.groupio import MatrixGroupSpec, build_group
 from cosetchar.groups import (
     Permutation,
     conjugacy_classes,
@@ -188,3 +198,149 @@ def test_row_orthogonality_exact_d4():
         for j in range(table.n_rows):
             assert inner_product(table.rows[i], table.rows[j]) == (1 if i == j else 0)
     assert sum(d * d for d in table.degrees) == 8
+
+
+# -- the integer array certificate against the Fraction oracle ----------------
+
+
+def fraction_certificate(table):
+    """The table certificate in exact Fraction arithmetic on the Cyclotomic
+    rows: the reference the integer array certificate is checked against."""
+    G, classes = table.group, table.classes
+    r = table.n_rows
+    ensure(sum(d * d for d in table.degrees) == G.order,
+           "squared degrees do not sum to the group order")
+    for d in table.degrees:
+        ensure(d >= 1 and G.order % d == 0, "degree does not divide the group order")
+    for row in table.rows:
+        ensure(all(v.is_integral() for v in row.values),
+               "character value is not an algebraic integer")
+    for i in range(r):
+        for j in range(i, r):
+            ip = inner_product(table.rows[i], table.rows[j])
+            ensure(ip == (1 if i == j else 0), "row orthogonality failed")
+    for c1 in range(r):
+        for c2 in range(c1, r):
+            total = from_rational(0)
+            for row in table.rows:
+                total = total + row.values[c1] * row.values[c2].conjugate()
+            want = Fraction(G.order, classes.sizes[c1]) if c1 == c2 else 0
+            ensure(total == want, "column orthogonality failed")
+
+
+@pytest.fixture(scope="module")
+def certified_tables():
+    """Every corpus pair's table, with its normal subgroup, plus GL2(5) and S6."""
+    out = {}
+    for spec in corpus_specs():
+        G, N = build_group(spec)
+        out[spec.label] = (character_table(G), N)
+    gl2_5 = MatrixGroupSpec("GL2(5)", 5, ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)), ())
+    out["GL2(5)"] = (character_table(build_group(gl2_5)[0]), None)
+    s6 = generate_group(6, [Permutation.from_cycles(6, (0, 1)),
+                            Permutation.from_cycles(6, (0, 1, 2, 3, 4, 5))])
+    out["S6"] = (character_table(s6), None)
+    return out
+
+
+def test_both_certificates_accept_every_table(certified_tables):
+    for table, _ in certified_tables.values():
+        fraction_certificate(table)
+        _certify_table(table)
+
+
+def _shift_one_value(table):
+    """The last value of the last row plus zeta_e - 1."""
+    i, k = table.n_rows - 1, table.classes.n_classes - 1
+    rows = [list(r.values) for r in table.rows]
+    rows[i][k] = rows[i][k] + root_of_unity(table.exponent) - 1
+    coeffs = table.coeffs.copy()
+    powers = np.array(_power_table(table.exponent))
+    coeffs[i, k] += powers[1] - powers[0]
+    return rows, coeffs
+
+
+def _swap_two_rows_in_one_column(table):
+    """Row 0 and the first row that differs from it, swapped in the last column."""
+    k = table.classes.n_classes - 1
+    j = next(j for j in range(table.n_rows)
+             if table.rows[j].values[k] != table.rows[0].values[k])
+    rows = [list(r.values) for r in table.rows]
+    rows[0][k], rows[j][k] = rows[j][k], rows[0][k]
+    coeffs = table.coeffs.copy()
+    coeffs[[0, j], k] = coeffs[[j, 0], k]
+    return rows, coeffs
+
+
+@pytest.mark.parametrize("corrupt", [_shift_one_value, _swap_two_rows_in_one_column])
+@pytest.mark.parametrize("name", ["S3/A3", "Q8/Z", "GL2(3)/SL2(3)", "S6"])
+def test_both_certificates_reject_a_corrupted_table(certified_tables, corrupt, name):
+    table = certified_tables[name][0]
+    rows, coeffs = corrupt(table)
+    bad = CharacterTable(table.group, table.classes,
+                         [ClassFunction(table.group, table.classes, r) for r in rows], coeffs)
+    with pytest.raises(InternalCheckError):
+        fraction_certificate(bad)
+    with pytest.raises(InternalCheckError):
+        _certify_table(bad)
+
+
+def _gram_oracle(X, weights, e):
+    n, c, _ = X.shape
+    vals = [[Cyclotomic(e, X[i, k].tolist()) for k in range(c)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            total = from_rational(0)
+            for k in range(c):
+                total = total + vals[i][k] * vals[j][k].conjugate() * weights[k]
+            out.append([int(x) for x in total.coeff_key(e)])
+    return np.array(out, dtype=object).reshape(n, n, -1)
+
+
+@pytest.mark.parametrize("e,scale,dtype", [
+    (12, 5, np.float64),
+    (12, 2**40, object),
+    (15, 2**31, object),
+])
+def test_hermitian_gram_is_exact_on_both_branches(e, scale, dtype):
+    rng = np.random.default_rng(e + scale)
+    phi = len(_power_table(e)[0])
+    X = rng.integers(-scale, scale, size=(3, 4, phi), dtype=np.int64)
+    weights = [1, 2, 3, 4]
+    got = _hermitian_gram(X, weights, e)
+    assert got.dtype == dtype
+    assert np.array_equal(got, _gram_oracle(X, weights, e))
+
+
+def test_eigenvalues_match_a_scan_of_the_field():
+    rng = random.Random(7)
+    for p in (3, 5, 7, 13, 241):
+        for d in range(1, 9):
+            dense = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+            # lower triangular with diagonal entries from {0, 1, 2}: many and repeated roots
+            lower = [[rng.randrange(3) if i == j else rng.randrange(p) if j < i else 0
+                      for j in range(d)] for i in range(d)]
+            for X in (dense, lower):
+                scan = [lam for lam in range(p) if _nullspace_mod(
+                    [[(X[i][j] - (lam if i == j else 0)) % p for j in range(d)]
+                     for i in range(d)], p)]
+                assert _eigenvalues_mod(X, p) == scan, (p, X)
+
+
+def test_dixon_split_rejects_a_class_matrix_that_does_not_diagonalize():
+    jordan = [[1, 1], [0, 1]]
+    with pytest.raises(InternalCheckError, match="did not diagonalize"):
+        _dixon_omegas([[[0, 0], [0, 0]], jordan], 2, 7)
+
+
+def test_restriction_norm_matches_member_sum(certified_tables):
+    for name, (table, N) in certified_tables.items():
+        if N is None:
+            continue
+        for row in table.rows:
+            total = from_rational(0)
+            for n in N.members:
+                v = row.value_at(n)
+                total = total + v * v.conjugate()
+            assert restriction_norm(row, N) == total / N.order, name

@@ -1,5 +1,6 @@
 """Tests for spec parsing, matrix ingestion, and the command-line interface."""
 
+import ast
 import itertools
 import json
 import subprocess
@@ -104,6 +105,9 @@ def test_parse_theta_variants():
     ('{"values": [1, 2]}', {"n_classes": 3}),
     ('{"values": "nope"}', {}),
     ("{bad", {}),
+    ('{"values": [[1, 0]]}', {}),
+    ('{"values": [{"order": 100000000, "coeffs": []}]}', {"exponent": 20}),
+    ('{"values": [{"order": 0, "coeffs": []}]}', {"exponent": 20}),
 ])
 def test_parse_theta_rejects(text, kwargs):
     with pytest.raises(ParseError):
@@ -272,6 +276,33 @@ def test_cli_bad_theta_values_exit_three(tmp_path, capsys):
     theta.write_text('{"values": [1, 1, 1, 1, 2]}')
     assert main(["invert", fixture("f5.group"), "--theta", str(theta)]) == 3
     capsys.readouterr()
+
+
+def test_cli_theta_zero_denominator_exits_two(tmp_path, capsys):
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"values": [[1, 0], 1, 1, 1, 1]}')
+    assert main(["invert", fixture("f5.group"), "--theta", str(theta)]) == 2
+    assert "bad character value" in capsys.readouterr().err
+
+
+def test_cli_theta_order_beyond_the_exponent_exits_two_at_once(tmp_path):
+    # an order of 10^8 used to hang in cyclotomic_polynomial
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"values": [{"order": 100000000, "coeffs": []}, 1, 1, 1, 1]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetchar", "invert", fixture("f5.group"), "--theta", str(theta)],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "does not divide the group exponent 20" in proc.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; package checks use errors.ensure
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((FIXTURES.parent / "src" / "cosetchar").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_klein_quotient_invert_exit_three(capsys):

@@ -4,9 +4,11 @@ Rebuilding a character from its values on cosets
 
 Knowing a character only through weighted sums over cosets is enough to
 reconstruct how it decomposes across dual-group orbits.  The weighted
-sums are power sums of a hidden multiset of roots of unity; Newton's
-identities and exact synthetic division recover the multiset, and with it
-the component of the character belonging to each orbit.
+sums are power sums of a hidden multiset of l-th roots of unity, so they
+repeat with period l.  One period is a function on the cyclic group of
+order l, and its exact discrete Fourier transform gives the multiplicity
+of each root: the multiset, and with it the component of the character
+belonging to each orbit.
 """
 
 from cosetchar.cosets import CosetAnalysis

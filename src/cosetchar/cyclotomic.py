@@ -26,7 +26,6 @@ __all__ = [
     "root_of_unity",
     "from_rational",
     "conjugate",
-    "is_root_of_unity",
     "value_to_json",
     "value_from_json",
 ]
@@ -171,9 +170,9 @@ class Cyclotomic:
         if order == self.order:
             return self
         n = lcm(self.order, order)
-        target = self.promoted(n).coeffs
-        elim = _demotion_matrix(order, n)
-        u = [sum((row[i] * target[i] for i in range(len(target))), Fraction(0)) for row in elim]
+        target = [(i, c) for i, c in enumerate(self.promoted(n).coeffs) if c]
+        u = [sum((row[i] * c for i, c in target), Fraction(0))
+             for row in _demotion_matrix(order, n)]
         d = euler_phi(order)
         if any(u[d:]):
             return None
@@ -372,18 +371,6 @@ def from_terms(order: int, terms: Iterable[tuple[int, Rational]]) -> Cyclotomic:
 
 def conjugate(value: Cyclotomic) -> Cyclotomic:
     return value.conjugate()
-
-
-def is_root_of_unity(value: Cyclotomic, max_order: int) -> Optional[tuple[int, int]]:
-    """Return (n, k) with value = zeta_n^k and n minimal among n <= max_order.
-
-    Returns None when the value is no root of unity of order up to max_order.
-    """
-    for n in range(1, max_order + 1):
-        for k in range(n):
-            if value == root_of_unity(n, k):
-                return (n, k)
-    return None
 
 
 def value_to_json(value: Cyclotomic) -> dict:

@@ -70,6 +70,18 @@ def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> Permut
     return Permutation(images)
 
 
+def _prime_problem(prime: int) -> Optional[str]:
+    """Why `prime` cannot be the field of a matrix spec, or None."""
+    # the matrices act on the p^2 - 1 nonzero vectors; bounding p first keeps
+    # the trial division in _is_prime short
+    if prime * prime - 1 > DEFAULT_ORDER_LIMIT:
+        return (f"prime {prime} is too large: its matrices act on "
+                f"more than {DEFAULT_ORDER_LIMIT} vectors")
+    if not _is_prime(prime):
+        return f"{prime} is not prime"
+    return None
+
+
 def _parse_matrix(parts: Sequence[str], prime: int, lineno: int) -> tuple[int, int, int, int]:
     try:
         entries = [int(x) for x in parts]
@@ -114,8 +126,9 @@ def _parse_text_spec(text: str) -> AnyGroupSpec:
             if len(rest) != 1 or not rest[0].isdigit():
                 raise ParseError(f"line {lineno}: prime needs one positive integer")
             prime = int(rest[0])
-            if not _is_prime(prime):
-                raise ParseError(f"line {lineno}: {prime} is not prime")
+            problem = _prime_problem(prime)
+            if problem:
+                raise ParseError(f"line {lineno}: {problem}")
         elif key == "gen":
             if kind == "matrix":
                 raise ParseError(f"line {lineno}: gen is not valid in a matrix spec")
@@ -171,8 +184,11 @@ def _parse_json_spec(text: str) -> AnyGroupSpec:
         raise ParseError("normal must be a list")
     if "prime" in data:
         prime = data["prime"]
-        if not isinstance(prime, int) or not _is_prime(prime):
+        if not isinstance(prime, int):
             raise ParseError(f"{prime!r} is not a prime")
+        problem = _prime_problem(prime)
+        if problem:
+            raise ParseError(problem)
         gs = tuple(_parse_matrix([str(x) for x in g], prime, 0) for g in gens)
         ns = tuple(_parse_matrix([str(x) for x in g], prime, 0) for g in normals)
         return MatrixGroupSpec(label, prime, gs, ns)

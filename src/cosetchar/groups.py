@@ -111,11 +111,6 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """compose(p, q)(i) = p(q(i))."""
-    return p * q
-
-
 class FiniteGroup:
     """A fully enumerated permutation group; element 0 is the identity."""
 
@@ -473,8 +468,3 @@ def quotient(G: FiniteGroup, N: Subgroup) -> AbelianQuotient:
     if not is_normal(G, N):
         raise HypothesisError("subgroup is not normal in the group")
     return AbelianQuotient(G, N)
-
-
-def power_coset(Q: AbelianQuotient, coset: int, k: int) -> int:
-    """The k-th power of a coset in the quotient group (k >= 0)."""
-    return Q.power(coset, k)

@@ -5,24 +5,25 @@ splits as a sum over dual-group orbits of terms (lift of Psi) * rho, with
 rho the orbit representative and Psi a character of Q.  The values of Psi
 at powers of q are recovered from power sums: weighting Theta by conj(rho)
 over the coset q^(d*m)N (m the stabilizer size) yields the d-th power sum
-of a multiset of roots of unity, which Newton's identities and exact
-synthetic division turn back into the multiset itself.  Every step is
-certified: power sums must land in the small cyclotomic field of the
-quotient, the symmetric-function polynomial must split into roots of unity,
-the root count must match the d = 0 sum, the reconstruction must not
-depend on the choice of m-th roots, and the components must add up to
-Theta exactly.
+p_d of a multiset of l-th roots of unity, l = |Q|/m.  The coset, hence
+p_d, repeats with period l, so the multiplicity of zeta_l^t is the exact
+discrete Fourier coefficient c_t = (1/l) sum_(d<l) p_d zeta_l^(-d*t).
+Every step is certified: power sums must land in the small cyclotomic field
+of the quotient, every c_t must be a nonnegative integer, the root count
+must match the d = 0 sum and not exceed Theta(1)/rho(1), each chosen m-th
+root must recover its root, the reconstruction must not depend on the
+choice of m-th roots, and the components must add up to Theta exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .chartable import ClassFunction, inner_product
 from .cosets import CosetAnalysis
-from .cyclotomic import Cyclotomic, from_rational, is_root_of_unity, root_of_unity
+from .cyclotomic import Cyclotomic, from_rational, from_terms, root_of_unity
 from .errors import HypothesisError, ensure
 
 
@@ -115,11 +116,19 @@ def psi_power_value(analysis: CosetAnalysis, theta: ClassFunction,
     m = len(rec.stabilizer)
     Q = analysis.quotient
     target = Q.power(coset, (d * m) % Q.size)
-    sizes = analysis.classes.sizes
-    total = from_rational(0)
-    for k in analysis.classes_in(target):
-        total = total + sizes[k] * rho.values[k].conjugate() * theta.values[k]
-    value = total / (analysis.normal.order * m)
+    pairs = [(analysis.classes.sizes[k], rho.values[k], theta.values[k])
+             for k in analysis.classes_in(target)]
+    order = lcm(1, *(x.order for _, r, t in pairs for x in (r, t)))
+    # sum of size * conj(rho) * theta, term by term at one order:
+    # conj maps zeta^i to zeta^-i
+    terms = []
+    for size, r, t in pairs:
+        sr, st = order // r.order, order // t.order
+        for i, a in enumerate(r.coeffs):
+            if a:
+                terms.extend((j * st - i * sr, size * a * b)
+                             for j, b in enumerate(t.coeffs) if b)
+    value = from_terms(order, terms) / (analysis.normal.order * m)
     small = value.demoted_to(Q.size)
     if small is None:
         raise HypothesisError(
@@ -128,90 +137,56 @@ def psi_power_value(analysis: CosetAnalysis, theta: ClassFunction,
     return small
 
 
-def power_sums_to_multiset(power_sums: Sequence[Cyclotomic],
-                           n: int) -> tuple[Cyclotomic, ...]:
-    """Invert power sums into a multiset of n-th roots of unity.
+def power_sums_to_multiset(power_sums: Sequence[Cyclotomic]) -> tuple[int, ...]:
+    """The multiset of l-th roots of unity with power sums p_0..p_(l-1).
 
-    Newton's identities give the elementary symmetric functions, hence a
-    monic polynomial whose roots are the multiset padded with zeros; the
-    roots are then stripped off by exact synthetic division, trying each
-    n-th root of unity in turn.  Raises HypothesisError when the polynomial
-    does not split that way.
+    Returns c_0..c_(l-1), the multiplicity of zeta_l^t, each taken as the
+    inner product of the sums with a linear character of the cyclic group
+    of order l: c_t = (1/l) sum_d p_d zeta_l^(-d*t).  This inverts the sums
+    of any l-periodic multiset exactly.  Raises HypothesisError unless every
+    c_t is a nonnegative integer.
     """
-    count = len(power_sums)
-    if count == 0:
-        return ()
-    e = [from_rational(1)]
-    for k in range(1, count + 1):
-        total = from_rational(0)
-        sign = 1
-        for i in range(1, k + 1):
-            term = e[k - i] * power_sums[i - 1]
-            total = total + (term if sign > 0 else -term)
-            sign = -sign
-        e.append(total / k)
-    poly = []
-    sign = 1
-    for k in range(count + 1):
-        poly.append(e[k] if sign > 0 else -e[k])
-        sign = -sign
-    roots: list[Cyclotomic] = []
-    for t in range(n):
-        zeta = root_of_unity(n, t)
-        while len(poly) > 1:
-            quot = [poly[0]]
-            for c in poly[1:]:
-                quot.append(c + zeta * quot[-1])
-            if quot[-1].is_zero():
-                roots.append(zeta)
-                poly = quot[:-1]
-            else:
-                break
-    if any(not c.is_zero() for c in poly[1:]):
-        raise HypothesisError(
-            "power sums do not come from a multiset of roots of unity")
-    for d in range(1, count + 1):
-        total = from_rational(0)
-        for r in roots:
-            total = total + r ** d
-        ensure(total == power_sums[d - 1],
-               "extracted roots do not reproduce the power sums")
-    return tuple(roots)
+    ell = len(power_sums)
+    order = lcm(ell, *(p.order for p in power_sums))
+    counts = []
+    for t in range(ell):
+        # p_d * zeta_l^(-d*t) shifts the exponents of p_d by -d*t*(order/l)
+        c = from_terms(order, ((i * (order // p.order) - d * t * (order // ell), x / ell)
+                               for d, p in enumerate(power_sums)
+                               for i, x in enumerate(p.coeffs) if x))
+        if not c.is_rational():
+            raise HypothesisError(
+                f"the multiplicity {c} of zeta_{ell}^{t} is not rational")
+        r = c.as_rational()
+        if r.denominator != 1 or r < 0:
+            raise HypothesisError(
+                f"the multiplicity {r} of zeta_{ell}^{t} is not a nonnegative integer")
+        counts.append(int(r))
+    return tuple(counts)
 
 
-def choose_roots(lambdas: Sequence[Cyclotomic], m: int,
-                 max_order: int) -> tuple[Cyclotomic, ...]:
-    """The principal m-th root of each recovered value: lambda written as
-    the power of a root of unity of minimal order, with the order scaled
-    up by m and the exponent kept."""
+def choose_roots(exponents: Sequence[int], ell: int,
+                 m: int) -> tuple[Cyclotomic, ...]:
+    """The principal m-th root of zeta_l^t for each t: with g = gcd(l, t),
+    zeta_l^t = zeta_(l/g)^(t/g) has order l/g, and the root is that power
+    of a root of unity with the order scaled up by m and the exponent kept."""
     mus = []
-    for lam in lambdas:
-        rk = is_root_of_unity(lam, max_order)
-        if rk is None:
-            raise HypothesisError(f"{lam} is not a root of unity of order up to {max_order}")
-        n0, k0 = rk
-        mus.append(root_of_unity(n0 * m, k0))
+    for t in exponents:
+        g = gcd(ell, t)
+        mus.append(root_of_unity(ell // g * m, t // g))
     return tuple(mus)
 
 
-def _psi_and_component(analysis: CosetAnalysis, orbit_index: int,
-                       mus: Sequence[Cyclotomic], jmap: dict[int, int],
-                       n: int) -> tuple[tuple[Cyclotomic, ...], ClassFunction]:
-    rec = analysis.orbits[orbit_index]
-    rho = analysis.table.rows[rec.representative_row]
-    psi_at_powers = []
+def _psi_at_powers(counts: Sequence[int], mus: Sequence[Cyclotomic],
+                   n: int) -> tuple[Cyclotomic, ...]:
+    """Psi(q^j) for j < n: the sum of count * mu^j over the chosen roots."""
+    psi = []
     for j in range(n):
         total = from_rational(0)
-        for mu in mus:
-            total = total + mu ** j
-        psi_at_powers.append(total)
-    Q = analysis.quotient
-    values = []
-    for k, rep in enumerate(analysis.classes.representatives):
-        j = jmap[Q.coset_of[rep]]
-        values.append(psi_at_powers[j] * rho.values[k])
-    cf = ClassFunction(analysis.group, analysis.classes, values)
-    return tuple(psi_at_powers), cf
+        for c, mu in zip(counts, mus):
+            total = total + c * mu ** j
+        psi.append(total)
+    return tuple(psi)
 
 
 def decompose(analysis: CosetAnalysis, theta: Union[Theta, ClassFunction],
@@ -238,6 +213,8 @@ def decompose(analysis: CosetAnalysis, theta: Union[Theta, ClassFunction],
     for j in range(n):
         jmap[cur] = j
         cur = Q.mult(cur, q)
+    # the power j of q with q^j N the coset of each class
+    class_powers = [jmap[Q.coset_of[rep]] for rep in analysis.classes.representatives]
     deg = cf.values[0]
     if not deg.is_rational() or deg.as_rational().denominator != 1:
         raise HypothesisError("theta has a non-integer degree")
@@ -249,44 +226,41 @@ def decompose(analysis: CosetAnalysis, theta: Union[Theta, ClassFunction],
         m = len(rec.stabilizer)
         ell = n // m
         nmax = theta_degree // rho_degree
-        # power sums repeat with period ell because the underlying coset does
-        distinct = [psi_power_value(analysis, cf, oi, d, q)
-                    for d in range(min(nmax, ell) + 1)]
-        p0 = distinct[0]
-        if not p0.is_rational():
-            raise HypothesisError("the d = 0 power sum is not rational")
-        z0 = p0.as_rational()
-        if z0.denominator != 1 or z0 < 0:
+        # one period of the power sums: the coset q^(d*m)N repeats after ell
+        sums = [psi_power_value(analysis, cf, oi, d, q) for d in range(ell)]
+        counts = power_sums_to_multiset(sums)
+        total = sum(counts)
+        ensure(total == sums[0], "the root count differs from the d = 0 power sum")
+        if total > nmax:
             raise HypothesisError(
-                f"the d = 0 power sum {z0} is not a nonnegative integer")
-        sums = [distinct[((d - 1) % ell) + 1] if ell <= nmax else distinct[d]
-                for d in range(1, nmax + 1)]
-        lambdas = power_sums_to_multiset(sums, n)
-        for lam in lambdas:
-            if not (lam ** ell == 1):
-                raise HypothesisError(
-                    "a recovered root is not compatible with the orbit's stabilizer")
-        if len(lambdas) != z0:
-            raise HypothesisError(
-                f"recovered {len(lambdas)} roots but the d = 0 sum is {z0}")
-        if not lambdas:
+                f"recovered {total} roots but theta(1)/rho(1) is {nmax}")
+        if not total:
             continue
-        mus = choose_roots(lambdas, m, n)
-        for mu, lam in zip(mus, lambdas):
+        present = [t for t in range(ell) if counts[t]]
+        lams = [root_of_unity(n, t * m) for t in present]
+        mus = choose_roots(present, ell, m)
+        for mu, lam in zip(mus, lams):
             ensure(mu ** m == lam, "chosen m-th root does not recover its value")
-        psi_at_powers, component = _psi_and_component(analysis, oi, mus, jmap, n)
+        mults = [counts[t] for t in present]
+        rho = analysis.table.rows[rec.representative_row]
+        psi_at_powers = _psi_at_powers(mults, mus, n)
         if m > 1:
+            # the component (lift of Psi) * rho must not depend on the choice
+            # of m-th roots; rotating them may change Psi only where rho is 0
             zeta_m = root_of_unity(m)
-            rotated = tuple(mu * zeta_m for mu in mus)
-            _, alt = _psi_and_component(analysis, oi, rotated, jmap, n)
-            ensure(alt == component,
+            alt = _psi_at_powers(mults, [mu * zeta_m for mu in mus], n)
+            ensure(all(alt[j] == psi_at_powers[j]
+                       for j, x in zip(class_powers, rho.values) if x),
                    "reconstruction depends on the choice of m-th roots")
+        component = ClassFunction(analysis.group, analysis.classes,
+                                  [psi_at_powers[j] * x
+                                   for j, x in zip(class_powers, rho.values)])
         components.append(PsiComponent(
             orbit_index=oi,
             representative_row=rec.representative_row,
             stabilizer_size=m,
-            lambdas=lambdas,
-            mus=mus,
+            lambdas=tuple(lam for lam, c in zip(lams, mults) for _ in range(c)),
+            mus=tuple(mu for mu, c in zip(mus, mults) for _ in range(c)),
             psi_at_powers=psi_at_powers,
             component=component,
         ))

@@ -12,11 +12,12 @@ from cosetchar.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     from_rational,
-    is_root_of_unity,
     root_of_unity,
     value_from_json,
     value_to_json,
 )
+
+from test_inversion import is_root_of_unity
 
 # textbook cyclotomic polynomials, low degree first
 KNOWN_POLYS = {

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cosetchar.chartable import ClassFunction
 from cosetchar.cosets import CosetAnalysis
 from cosetchar.cyclotomic import from_rational, root_of_unity
-from cosetchar.errors import HypothesisError, InternalCheckError
+from cosetchar.errors import HypothesisError, InternalCheckError, ensure
 from cosetchar.groups import Permutation, generate_group, subgroup_generated
 from cosetchar.inversion import (
     PsiComponent,
@@ -50,32 +50,118 @@ def orbit_component_oracle(an, mults, orbit):
     return ClassFunction(an.group, an.classes, values)
 
 
-# -- power sums to multisets -------------------------------------------------
+# -- the Newton route, kept as an oracle for the Fourier inversion --------------
+
+def is_root_of_unity(value, max_order):
+    """Return (n, k) with value = zeta_n^k and n minimal among n <= max_order.
+
+    Returns None when the value is no root of unity of order up to max_order.
+    """
+    for n in range(1, max_order + 1):
+        for k in range(n):
+            if value == root_of_unity(n, k):
+                return (n, k)
+    return None
+
+
+def newton_multiset(power_sums, n):
+    """Invert power sums p_1, p_2, ... into a multiset of n-th roots of unity.
+
+    Newton's identities give the elementary symmetric functions, hence a
+    monic polynomial whose roots are the multiset padded with zeros; the
+    roots are then stripped off by exact synthetic division, trying each
+    n-th root of unity in turn.  Raises HypothesisError when the polynomial
+    does not split that way.
+    """
+    count = len(power_sums)
+    if count == 0:
+        return ()
+    e = [from_rational(1)]
+    for k in range(1, count + 1):
+        total = from_rational(0)
+        sign = 1
+        for i in range(1, k + 1):
+            term = e[k - i] * power_sums[i - 1]
+            total = total + (term if sign > 0 else -term)
+            sign = -sign
+        e.append(total / k)
+    poly = []
+    sign = 1
+    for k in range(count + 1):
+        poly.append(e[k] if sign > 0 else -e[k])
+        sign = -sign
+    roots = []
+    for t in range(n):
+        zeta = root_of_unity(n, t)
+        while len(poly) > 1:
+            quot = [poly[0]]
+            for c in poly[1:]:
+                quot.append(c + zeta * quot[-1])
+            if quot[-1].is_zero():
+                roots.append(zeta)
+                poly = quot[:-1]
+            else:
+                break
+    if any(not c.is_zero() for c in poly[1:]):
+        raise HypothesisError(
+            "power sums do not come from a multiset of roots of unity")
+    for d in range(1, count + 1):
+        total = from_rational(0)
+        for r in roots:
+            total = total + r ** d
+        ensure(total == power_sums[d - 1],
+               "extracted roots do not reproduce the power sums")
+    return tuple(roots)
+
+
+def search_roots(lambdas, m, max_order):
+    """The principal m-th root of each value, found by searching the roots
+    of unity of order up to max_order for the value's minimal order."""
+    mus = []
+    for lam in lambdas:
+        rk = is_root_of_unity(lam, max_order)
+        if rk is None:
+            raise HypothesisError(f"{lam} is not a root of unity of order up to {max_order}")
+        n0, k0 = rk
+        mus.append(root_of_unity(n0 * m, k0))
+    return tuple(mus)
+
+
+def power_sums(multiset, count):
+    """p_0..p_(count-1) of a multiset of cyclotomic values."""
+    sums = []
+    for d in range(count):
+        total = from_rational(0)
+        for r in multiset:
+            total = total + r ** d
+        sums.append(total)
+    return sums
+
 
 def test_power_sums_empty():
-    assert power_sums_to_multiset([], 4) == ()
+    assert newton_multiset([], 4) == ()
 
 
 def test_power_sums_all_zero_gives_no_roots():
     sums = [from_rational(0)] * 5
-    assert power_sums_to_multiset(sums, 4) == ()
+    assert newton_multiset(sums, 4) == ()
 
 
 def test_power_sums_constant_two_gives_double_one():
     sums = [from_rational(2)] * 2
-    roots = power_sums_to_multiset(sums, 2)
+    roots = newton_multiset(sums, 2)
     assert [str(r) for r in roots] == ["1", "1"]
 
 
 def test_power_sums_zero_two_gives_plus_minus_one():
     sums = [from_rational(0), from_rational(2)]
-    roots = power_sums_to_multiset(sums, 4)
+    roots = newton_multiset(sums, 4)
     assert sorted(str(r) for r in roots) == ["-1", "1"]
 
 
 def test_power_sums_zero_minus_two_gives_quarter_roots():
     sums = [from_rational(0), from_rational(-2)]
-    roots = power_sums_to_multiset(sums, 4)
+    roots = newton_multiset(sums, 4)
     i4 = root_of_unity(4)
     assert sorted(str(r) for r in roots) == sorted([str(i4), str(-i4)])
 
@@ -83,19 +169,19 @@ def test_power_sums_zero_minus_two_gives_quarter_roots():
 def test_power_sums_padding_with_zero_roots():
     # the multiset {1, -1} padded to four unknowns
     sums = [from_rational(x) for x in (0, 2, 0, 2)]
-    roots = power_sums_to_multiset(sums, 2)
+    roots = newton_multiset(sums, 2)
     assert sorted(str(r) for r in roots) == ["-1", "1"]
 
 
 def test_power_sums_reject_non_unity_roots():
     sums = [from_rational(5)]
     with pytest.raises(HypothesisError):
-        power_sums_to_multiset(sums, 2)
+        newton_multiset(sums, 2)
 
 
 def test_power_sums_fourth_roots():
     sums = [from_rational(4 if d % 4 == 0 else 0) for d in range(1, 21)]
-    roots = power_sums_to_multiset(sums, 4)
+    roots = newton_multiset(sums, 4)
     assert len(roots) == 4
     assert {str(r) for r in roots} == {"1", "-1", "z4", "-z4"}
 
@@ -116,8 +202,32 @@ def test_power_sums_round_trip_random(mults, pad):
         for r in multiset:
             total = total + r ** d
         sums.append(total)
-    roots = power_sums_to_multiset(sums, n)
+    roots = newton_multiset(sums, n)
     assert sorted(str(r) for r in roots) == sorted(str(r) for r in multiset)
+
+
+# -- Fourier inversion against the Newton route --------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda ell: st.lists(st.integers(min_value=0, max_value=2),
+                         min_size=ell, max_size=ell)))
+def test_fourier_inversion_matches_newton(counts):
+    ell = len(counts)
+    multiset = [root_of_unity(ell, t) for t, c in enumerate(counts) for _ in range(c)]
+    sums = power_sums(multiset, max(ell, len(multiset) + 1))
+    assert power_sums_to_multiset(sums[:ell]) == tuple(counts)
+    assert newton_multiset(sums[1:len(multiset) + 1], ell) == tuple(multiset)
+
+
+@pytest.mark.parametrize("sums", [
+    [from_rational(1), from_rational(0)],  # c_0 = c_1 = 1/2
+    [from_rational(0), from_rational(2)],  # c_1 = -1
+    [from_rational(1), root_of_unity(4)],  # c_0 = (1 + i)/2
+], ids=["fractional", "negative", "irrational"])
+def test_fourier_inversion_rejects_non_multisets(sums):
+    with pytest.raises(HypothesisError):
+        power_sums_to_multiset(sums)
 
 
 # -- choice of m-th roots -----------------------------------------------------
@@ -126,15 +236,26 @@ def test_choose_roots_principal():
     one = from_rational(1)
     minus = from_rational(-1)
     i4 = root_of_unity(4)
-    assert choose_roots([one], 2, 4) == (one,)
-    assert choose_roots([minus], 2, 4) == (i4,)
-    assert choose_roots([i4], 2, 4) == (root_of_unity(8),)
-    assert choose_roots([root_of_unity(4, 3)], 3, 4) == (root_of_unity(12, 3),)
+    assert search_roots([one], 2, 4) == (one,)
+    assert search_roots([minus], 2, 4) == (i4,)
+    assert search_roots([i4], 2, 4) == (root_of_unity(8),)
+    assert search_roots([root_of_unity(4, 3)], 3, 4) == (root_of_unity(12, 3),)
 
 
 def test_choose_roots_rejects_non_roots():
     with pytest.raises(HypothesisError):
-        choose_roots([from_rational(2)], 2, 4)
+        search_roots([from_rational(2)], 2, 4)
+
+
+def test_choose_roots_matches_search():
+    for ell in range(1, 9):
+        for m in range(1, 4):
+            mus = choose_roots(range(ell), ell, m)
+            lambdas = [root_of_unity(ell, t) for t in range(ell)]
+            want = search_roots(lambdas, m, ell)
+            # equal values at equal orders, so every printed form agrees
+            assert [(mu.order, mu.coeffs) for mu in mus] == \
+                [(mu.order, mu.coeffs) for mu in want]
 
 
 # -- power sum values from coset data -----------------------------------------
@@ -320,6 +441,15 @@ def test_decompose_rejects_junk_class_functions():
                          [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(HypothesisError):
         decompose(an, frac)
+
+
+def test_decompose_rejects_more_roots_than_the_degree_allows():
+    an = f5_analysis()
+    # 4 * trivial - (degree-4 row) has degree 0, yet four linear roots
+    trivial, big = an.table.rows[0], an.table.rows[4]
+    junk = trivial.scaled(4) + big.scaled(-1)
+    with pytest.raises(HypothesisError, match=r"theta\(1\)/rho\(1\) is 0"):
+        decompose(an, junk)
 
 
 def test_decompose_rejects_values_outside_quotient_field():

@@ -22,7 +22,7 @@ from cosetchar.groupio import (
     render_float,
     serialize_group_spec,
 )
-from cosetchar.groups import Permutation, compose
+from cosetchar.groups import Permutation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -70,6 +70,7 @@ def test_parse_json_specs():
     "degree 3\ngen 1 0 x\n",                        # non-integer
     "degree 0\n",                                   # bad degree
     "prime 4\nmatgen 1 0 0 1\n",                    # composite modulus
+    "prime 142\nmatgen 1 0 0 1\n",                  # acts on more than the order limit
     "prime 3\nmatgen 1 0 0\n",                      # short matrix
     "prime 3\nmatgen 1 1 2 2\n",                    # singular
     "matgen 1 0 0 1\n",                             # matgen before prime
@@ -136,7 +137,7 @@ def test_matrix_action_is_a_homomorphism(p):
     for a in sample:
         for b in sample:
             lhs = matrix_to_permutation(mat_mul(a, b, p), p)
-            rhs = compose(matrix_to_permutation(a, p), matrix_to_permutation(b, p))
+            rhs = matrix_to_permutation(a, p) * matrix_to_permutation(b, p)
             assert lhs == rhs
 
 
@@ -145,7 +146,7 @@ def test_matrix_identity_and_inverse():
     assert ident == Permutation.identity(8)
     m = matrix_to_permutation((1, 1, 0, 1), 3)
     inv = matrix_to_permutation((1, 2, 0, 1), 3)
-    assert compose(m, inv) == Permutation.identity(8)
+    assert m * inv == Permutation.identity(8)
 
 
 def test_matrix_singular_rejected():
@@ -294,6 +295,26 @@ def test_cli_theta_order_beyond_the_exponent_exits_two_at_once(tmp_path):
         capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert "does not divide the group exponent 20" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    "prime 1000000000000000003\nmatgen 1 1 0 1\n",
+    '{"prime": 1000000000000000003, "generators": [[1, 1, 0, 1]]}',
+])
+def test_cli_huge_prime_exits_two_at_once(tmp_path, spec):
+    # a prime of 10^18 used to hang in the trial division of _is_prime
+    path = tmp_path / "big.group"
+    path.write_text(spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetchar", "analyze", str(path)],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "is too large" in proc.stderr
+
+
+@pytest.mark.parametrize("p", [7, 139])
+def test_matrix_spec_accepts_small_primes(p):
+    assert parse_group_spec(f"prime {p}\nmatgen 1 1 0 1\n").prime == p
 
 
 def test_no_assert_statements_in_the_package():

@@ -1,13 +1,14 @@
 """Exact character tables of finite permutation groups.
 
 The table is computed modulo a prime p = 1 (mod exponent) via the common
-eigenvectors of the class-algebra multiplication matrices, found from the
-roots in F_p of each restricted matrix's characteristic polynomial.  It is
-then lifted to exact cyclotomic values through discrete Fourier sums of
-the modular character values on element powers.  The lifted multiplicities
-give two views of one table: `Cyclotomic` rows for callers and output, and
-an integer array of power-basis coefficients at the group exponent e,
-which orders the rows and carries the certificate.
+eigenvectors of the class-algebra multiplication matrices.  The
+eigenvalues come from each restricted matrix's characteristic polynomial,
+its roots found by evaluation over F_p at every element of the field.  The
+table is then lifted to exact cyclotomic values through discrete Fourier
+sums of the modular character values on element powers.  The lifted
+multiplicities give two views of one table: `Cyclotomic` rows for callers
+and output, and an integer array of power-basis coefficients at the group
+exponent e, which orders the rows and carries the certificate.
 
 Every table is certified on construction: degrees divide the group order,
 the squared degrees sum to it, values are algebraic integers, and row and
@@ -154,46 +155,6 @@ def restrict(chi: ClassFunction, sub_group: FiniteGroup,
     return ClassFunction(sub_group, sub_classes, values)
 
 
-class PowerMap:
-    """Class-level power maps: which class contains the k-th powers of a class."""
-
-    def __init__(self, group: FiniteGroup, classes: ConjugacyClasses):
-        self.group = group
-        self.classes = classes
-        self._maps: dict[int, tuple[int, ...]] = {}
-
-    def map_for(self, k: int) -> tuple[int, ...]:
-        if k < 0:
-            raise ValueError(f"power must be nonnegative, got {k}")
-        if k not in self._maps:
-            out = []
-            for ci, rep in enumerate(self.classes.representatives):
-                out.append(self.classes.class_of[_element_power(self.group, rep, k)])
-                # well-definedness spot check on a second class member
-                members = self.classes.members[ci]
-                if len(members) > 1:
-                    other = self.classes.class_of[_element_power(self.group, members[1], k)]
-                    ensure(other == out[-1], "power map is not constant on a class")
-            self._maps[k] = tuple(out)
-        return self._maps[k]
-
-    def apply(self, class_index: int, k: int) -> int:
-        return self.map_for(k)[class_index]
-
-
-def power_map(G: FiniteGroup, classes: ConjugacyClasses, k: int) -> tuple[int, ...]:
-    """The k-th power map on classes as an index tuple."""
-    return PowerMap(G, classes).map_for(k)
-
-
-def _element_power(G: FiniteGroup, element: int, k: int) -> int:
-    k %= G.element_order(element)
-    cur = 0
-    for _ in range(k):
-        cur = G.mul(cur, element)
-    return cur
-
-
 # -- modular linear algebra --------------------------------------------------
 
 
@@ -322,90 +283,17 @@ def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
     return polys[d]
 
 
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder over F_p; b has a nonzero leading coefficient."""
-    rem = list(a)
-    inv = pow(b[-1], p - 2, p)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + len(b) - 1] * inv % p
-        quot[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bc) % p
-    rem = rem[:len(b) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p of polynomials given without leading zeros."""
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _poly_powmod(base: list[int], k: int, f: list[int], p: int) -> list[int]:
-    """base^k modulo f over F_p."""
-    result, base = [1], _poly_divmod(base, f, p)[1]
-    while k:
-        if k & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), f, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
-        k >>= 1
-    return result
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out]
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(max(len(a), len(b)))]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _eigenvalues_mod(mat: list[list[int]], p: int) -> list[int]:
-    """The distinct eigenvalues in F_p of a square matrix, p an odd prime.
-
-    They are the roots of the characteristic polynomial f: gcd(f, x^p - x)
-    is the product of the x - lambda, which gcds with (x + delta)^((p-1)/2) - 1
-    split down to linear factors.  Such a gcd separates two roots for about
-    half of all shifts delta, so the search over delta rarely passes 2; the
-    cost is polynomial in the size and in log p, with no scan of F_p.
-    """
-    if p % 2 == 0:
-        raise ValueError(f"eigenvalues need an odd prime, got {p}")
-    f = _charpoly_mod(mat, p)
-    x = [0, 1]
-    pending = [_poly_gcd(f, _poly_sub(_poly_powmod(x, p, f, p), x, p), p)]
-    roots = []
-    while pending:
-        g = pending.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
-            continue
-        if len(g) < 2:
-            continue
-        for delta in range(p):
-            half = _poly_powmod([delta, 1], (p - 1) // 2, g, p)
-            h = _poly_gcd(g, _poly_sub(half, [1], p), p)
-            if 1 < len(h) < len(g):
-                pending += [h, _poly_divmod(g, h, p)[0]]
-                break
-    return sorted(roots)
+    """The distinct eigenvalues in F_p of a square matrix, ascending: the
+    roots of its characteristic polynomial, found by evaluating it at every
+    element of F_p in one Horner pass."""
+    x = np.arange(p, dtype=np.int64)
+    value = np.zeros(p, dtype=np.int64)
+    # _find_prime returns no p above PRIME_SEARCH_BOUND (10**7), so every
+    # value * x + c stays below p**2 + p < 2**63
+    for c in reversed(_charpoly_mod(mat, p)):
+        value = (value * x + c) % p
+    return np.flatnonzero(value == 0).tolist()
 
 
 def _dixon_omegas(constants: list[list[list[int]]], r: int, p: int) -> list[tuple[int, ...]]:

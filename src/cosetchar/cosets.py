@@ -122,16 +122,6 @@ def lift_to_group(chi: DualCharacter, table: CharacterTable) -> ClassFunction:
     return ClassFunction(table.group, table.classes, values)
 
 
-def tensor_action(chi: DualCharacter, table: CharacterTable, row: int) -> int:
-    """Index of the row obtained by tensoring row `row` with the lift of chi."""
-    lifted = lift_to_group(chi, table)
-    product = [a * b for a, b in zip(table.rows[row].values, lifted.values)]
-    idx = table.find_row(product)
-    ensure(idx is not None,
-           "tensoring an irreducible character by a linear character left the table")
-    return idx
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     """One orbit of the dual-group action on table rows.
@@ -220,14 +210,14 @@ def classes_in_coset(classes: ConjugacyClasses, Q: AbelianQuotient,
 
 def orbits_nonzero_on_coset(table: CharacterTable, orbits: Sequence[OrbitRecord],
                             dual_chars: Sequence[DualCharacter],
-                            Q: AbelianQuotient, coset: int) -> tuple[int, ...]:
-    """Orbit indices whose characters do not vanish identically on the coset.
+                            c_idx: Sequence[int], coset: int) -> tuple[int, ...]:
+    """Orbit indices whose characters do not vanish identically on the coset,
+    whose classes are `c_idx`.
 
     Membership is decided on the representative, re-checked on one more
     orbit member, and cross-checked against the kernel criterion: the orbit
     survives exactly when every stabilizer character is 1 on the coset.
     """
-    c_idx = classes_in_coset(table.classes, Q, coset)
     out = []
     for oi, rec in enumerate(orbits):
         nz = any(table.rows[rec.representative_row].values[k] for k in c_idx)
@@ -270,19 +260,19 @@ class CosetReport:
 
 
 def build_mq(table: CharacterTable, orbits: Sequence[OrbitRecord],
-             dual_chars: Sequence[DualCharacter], Q: AbelianQuotient,
+             c_idx: tuple[int, ...], o_idx: tuple[int, ...],
              coset: int, *, label: str = "",
              extendability: Optional[tuple[int, int, int, int, int]] = None) -> CosetReport:
     """The square matrix of scaled character values on one coset.
 
-    Rows are surviving orbits (by representative row), columns the classes
-    in the coset.  Entry (rho, g) is sqrt(#[g] * #[rho] / #G) * rho(g); the
-    radicand is kept as an exact rational and the square root only enters
-    the floating-point rendering.  Unitarity is certified twice: exact Gram
-    identities between rows, and a numeric max-deviation bound.
+    Rows are the surviving orbits `o_idx` (by representative row), columns
+    the classes `c_idx` in the coset, as `orbits_nonzero_on_coset` and
+    `classes_in_coset` certified them.  Entry (rho, g) is
+    sqrt(#[g] * #[rho] / #G) * rho(g); the radicand is kept as an exact
+    rational and the square root only enters the floating-point rendering.
+    Unitarity is certified twice: exact Gram identities between rows, and a
+    numeric max-deviation bound.
     """
-    c_idx = classes_in_coset(table.classes, Q, coset)
-    o_idx = orbits_nonzero_on_coset(table, orbits, dual_chars, Q, coset)
     ensure(len(c_idx) == len(o_idx),
            f"coset {coset}: {len(c_idx)} classes but {len(o_idx)} surviving orbits")
     G = table.group
@@ -367,7 +357,7 @@ class CosetAnalysis:
     def orbits_nonzero(self, coset: int) -> tuple[int, ...]:
         if coset not in self._orbits_nonzero:
             self._orbits_nonzero[coset] = orbits_nonzero_on_coset(
-                self.table, self.orbits, self.dual_chars, self.quotient, coset)
+                self.table, self.orbits, self.dual_chars, self.classes_in(coset), coset)
         return self._orbits_nonzero[coset]
 
     def pi(self, coset: int) -> ClassFunction:
@@ -398,8 +388,8 @@ class CosetAnalysis:
             if Q.is_cyclic and Q.coset_order(coset) == Q.size:
                 ext = self.extendability_counts(coset)
             self._reports[coset] = build_mq(
-                self.table, self.orbits, self.dual_chars, Q, coset,
-                label=self.coset_label(coset), extendability=ext)
+                self.table, self.orbits, self.classes_in(coset), self.orbits_nonzero(coset),
+                coset, label=self.coset_label(coset), extendability=ext)
         return self._reports[coset]
 
     def reports(self) -> tuple[CosetReport, ...]:
@@ -509,16 +499,3 @@ class CosetAnalysis:
             ensure(a == b == c, f"three-way equivalence failed on orbit {oi}")
             flags.append(a)
         return tuple(flags)
-
-
-def extendability_counts(G: FiniteGroup, N: Subgroup,
-                         q: Union[int, Permutation]) -> tuple[int, int, int, int, int]:
-    """Convenience wrapper: the five certified counts for the coset of q."""
-    analysis = CosetAnalysis(G, N)
-    qi = G.index_of(q) if isinstance(q, Permutation) else int(q)
-    return analysis.extendability_counts(analysis.quotient.coset_of[qi])
-
-
-def nontrivial_extension_exists(G: FiniteGroup, N: Subgroup) -> tuple[bool, tuple[str, int]]:
-    """Convenience wrapper for CosetAnalysis.nontrivial_extension."""
-    return CosetAnalysis(G, N).nontrivial_extension()

@@ -182,6 +182,8 @@ def _parse_json_spec(text: str) -> AnyGroupSpec:
         raise ParseError("generators must be a nonempty list")
     if not isinstance(normals, list):
         raise ParseError("normal must be a list")
+    if not all(isinstance(g, list) for g in gens + normals):
+        raise ParseError("each generator and normal entry must be a list")
     if "prime" in data:
         prime = data["prime"]
         if not isinstance(prime, int):
@@ -289,24 +291,6 @@ def build_group(spec: AnyGroupSpec,
         raise HypothesisError(
             "a normal generator is not an element of the group") from exc
     return G, N
-
-
-def serialize_group_spec(spec: AnyGroupSpec) -> str:
-    """Canonical line-format text for a spec; parsing it round-trips."""
-    lines = [f"label {spec.label}"]
-    if isinstance(spec, MatrixGroupSpec):
-        lines.append(f"prime {spec.prime}")
-        for m in spec.generators:
-            lines.append("matgen " + " ".join(str(x) for x in m))
-        for m in spec.normal_generators:
-            lines.append("matnormal " + " ".join(str(x) for x in m))
-    else:
-        lines.append(f"degree {spec.degree}")
-        for g in spec.generators:
-            lines.append("gen " + " ".join(str(x) for x in g.images))
-        for g in spec.normal_generators:
-            lines.append("normal " + " ".join(str(x) for x in g.images))
-    return "\n".join(lines) + "\n"
 
 
 def render_float(x: float) -> float:

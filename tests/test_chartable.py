@@ -7,7 +7,6 @@ import pytest
 from cosetchar.chartable import (
     CharacterTable,
     ClassFunction,
-    PowerMap,
     _certify_table,
     _dixon_omegas,
     _eigenvalues_mod,
@@ -16,7 +15,6 @@ from cosetchar.chartable import (
     character_table,
     class_constants,
     inner_product,
-    power_map,
     restrict,
     restriction_norm,
 )
@@ -134,20 +132,6 @@ def test_restriction_norm_f5():
     big = table.rows[-1]
     assert restriction_norm(big, n) == 4
     assert restriction_norm(table.rows[0], n) == 1
-
-
-def test_power_maps():
-    f5 = build("F5")
-    cls = conjugacy_classes(f5)
-    pm = PowerMap(f5, cls)
-    assert pm.map_for(1) == tuple(range(cls.n_classes))
-    assert pm.map_for(f5.order) == (0,) * cls.n_classes
-    assert power_map(f5, cls, 0) == (0,) * cls.n_classes
-    # squaring an order-4 class lands in the order-2 class
-    order4 = [c for c, rep in enumerate(cls.representatives) if f5.element_order(rep) == 4]
-    order2 = [c for c, rep in enumerate(cls.representatives) if f5.element_order(rep) == 2]
-    for c in order4:
-        assert pm.apply(c, 2) == order2[0]
 
 
 def test_table_deterministic():
@@ -315,7 +299,7 @@ def test_hermitian_gram_is_exact_on_both_branches(e, scale, dtype):
 
 def test_eigenvalues_match_a_scan_of_the_field():
     rng = random.Random(7)
-    for p in (3, 5, 7, 13, 241):
+    for p in (2, 3, 5, 7, 13, 241, 337):
         for d in range(1, 9):
             dense = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
             # lower triangular with diagonal entries from {0, 1, 2}: many and repeated roots

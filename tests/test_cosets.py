@@ -8,10 +8,7 @@ from cosetchar.chartable import character_table, inner_product, restrict
 from cosetchar.cosets import (
     CosetAnalysis,
     dual_group,
-    extendability_counts,
     lift_to_group,
-    nontrivial_extension_exists,
-    tensor_action,
 )
 from cosetchar.cyclotomic import from_rational, root_of_unity
 from cosetchar.errors import HypothesisError
@@ -88,10 +85,11 @@ def test_tensor_action_fixes_and_moves():
     # the linear rows swap
     deg = an.table.degrees
     two = deg.index(2)
-    assert tensor_action(an.dual_chars[1], an.table, two) == two
-    linear = [r for r in range(3) if deg[r] == 1]
-    assert tensor_action(an.dual_chars[1], an.table, linear[0]) == linear[1]
-    assert tensor_action(an.dual_chars[0], an.table, linear[0]) == linear[0]
+    linear = tuple(r for r in range(3) if deg[r] == 1)
+    by_rows = {rec.member_rows: rec for rec in an.orbits}
+    assert by_rows[(two,)].stabilizer == (0, 1)
+    assert by_rows[linear].representative_row == linear[0]
+    assert by_rows[linear].stabilizer == (0,)
 
 
 def test_orbits_s3():
@@ -225,13 +223,6 @@ def test_extendability_requires_generating_coset():
         an_klein.extendability_counts(1)
 
 
-def test_extendability_wrapper():
-    G = generate_group(*s3_generators())
-    N = subgroup_generated(G, [Permutation([1, 2, 0])])
-    counts = extendability_counts(G, N, Permutation([1, 0, 2]))
-    assert counts == (1, 1, 1, 1, 1)
-
-
 def test_nontrivial_extension_cases():
     # S3 over A3: the transposition class has exactly #N = 3 elements
     an = s3_analysis()
@@ -242,12 +233,12 @@ def test_nontrivial_extension_cases():
     # C4 over C2: all classes have one element, so an extension exists
     c4 = generate_group(4, [Permutation([1, 2, 3, 0])])
     sq = subgroup_generated(c4, [Permutation([2, 3, 0, 1])])
-    ok, (kind, _) = nontrivial_extension_exists(c4, sq)
+    ok, (kind, _) = CosetAnalysis(c4, sq).nontrivial_extension()
     assert ok and kind == "extending_character_row"
 
     # trivial N: only the trivial character exists, so never
     triv = subgroup_generated(c4, [])
-    ok, (kind, idx) = nontrivial_extension_exists(c4, triv)
+    ok, (kind, idx) = CosetAnalysis(c4, triv).nontrivial_extension()
     assert not ok and kind == "class_of_size_n"
 
     # the quaternion group over its order-4 subgroup

@@ -42,6 +42,7 @@ def difference(want, got, path="$"):
 
 @pytest.mark.parametrize("command,spec", [
     ("table", "perfbench/specs/gl2_5.matgroup"),
+    ("table", "perfbench/specs/gl2_7.matgroup"),
     ("table", "perfbench/specs/s6_a6.group"),
     ("analyze", "fixtures/gl2_3.matgroup"),
     ("analyze", "perfbench/specs/gl2_5.matgroup"),

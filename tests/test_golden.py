@@ -1,14 +1,20 @@
-"""CLI JSON outputs against the golden outputs recorded for the benchmark.
+"""CLI JSON outputs against golden outputs recorded from a known-good commit.
 
-The goldens in perfbench/golden/ are gzip-compressed, normalized outputs
-recorded from a commit whose outputs were known to be right; this test only
-reads them.  Outputs must match exactly, except that floats may differ by
-NUMERIC_TOLERANCE (the residue of an exact zero moves with the order of
-float operations) and `max_unitarity_deviation`, which the goldens omit,
-need only stay below the unitarity tolerance.
+The goldens are gzip-compressed, normalized outputs: those recorded for the
+benchmark in perfbench/golden/, which this test only reads, and those in
+tests/golden/ for calls the benchmark does not make.  Outputs must match
+exactly, except that floats may differ by NUMERIC_TOLERANCE (the residue of
+an exact zero moves with the order of float operations) and
+`max_unitarity_deviation`, which the goldens omit, need only stay below the
+unitarity tolerance.  To record the goldens in tests/golden/ again, from
+the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import contextlib
 import gzip
+import io
 import json
 from pathlib import Path
 
@@ -19,6 +25,26 @@ from cosetchar.cosets import UNITARITY_TOLERANCE
 
 ROOT = Path(__file__).resolve().parent.parent
 NUMERIC_TOLERANCE = 1e-9
+# calls whose goldens live in tests/golden/
+RECORDED_HERE = (("analyze", "perfbench/specs/gl2_7.matgroup"),)
+
+
+def golden_path(command, spec):
+    name = f"{command}-{Path(spec).stem}.json.gz"
+    here = ROOT / "tests" / "golden" / name
+    return here if (command, spec) in RECORDED_HERE else ROOT / "perfbench" / "golden" / name
+
+
+def normalized_output(command, spec):
+    """The call's JSON output with each `max_unitarity_deviation`, once
+    checked below the tolerance, dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, str(ROOT / spec), "--json"]) == 0
+    got = json.loads(out.getvalue())
+    for coset in got.get("cosets", []):
+        assert coset.pop("max_unitarity_deviation") < UNITARITY_TOLERANCE
+    return got
 
 
 def difference(want, got, path="$"):
@@ -46,14 +72,11 @@ def difference(want, got, path="$"):
     ("table", "perfbench/specs/s6_a6.group"),
     ("analyze", "fixtures/gl2_3.matgroup"),
     ("analyze", "perfbench/specs/gl2_5.matgroup"),
+    *RECORDED_HERE,
 ])
-def test_json_output_matches_golden(command, spec, capsys):
-    assert main([command, str(ROOT / spec), "--json"]) == 0
-    got = json.loads(capsys.readouterr().out)
-    for coset in got.get("cosets", []):
-        assert coset.pop("max_unitarity_deviation") < UNITARITY_TOLERANCE
-    golden = ROOT / "perfbench" / "golden" / f"{command}-{Path(spec).stem}.json.gz"
-    with gzip.open(golden, "rt", encoding="utf-8") as fh:
+def test_json_output_matches_golden(command, spec):
+    got = normalized_output(command, spec)
+    with gzip.open(golden_path(command, spec), "rt", encoding="utf-8") as fh:
         want = json.load(fh)
     assert difference(want, got) is None
 
@@ -65,3 +88,16 @@ def test_difference_finds_changes():
     assert difference(want, {"a": [1, 0.5], "b": {"c": True}}) == "$.a has length 2, golden 3"
     assert difference(want, {"a": [1, 0.5, "x"], "b": {"c": 1}}) == "$.b.c is 1, golden True"
     assert difference(want, {"a": [1, 0.5, "x"]}).startswith("$ has keys")
+
+
+def record():
+    for command, spec in RECORDED_HERE:
+        path = golden_path(command, spec)
+        with gzip.GzipFile(path, "wb", mtime=0) as fh:
+            fh.write(json.dumps(normalized_output(command, spec), sort_keys=True,
+                                separators=(",", ":")).encode("utf-8"))
+        print(f"{command} {spec} recorded in {path.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    record()

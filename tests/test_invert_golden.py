@@ -9,20 +9,15 @@ repository root:
     PYTHONPATH=src python3 tests/test_invert_golden.py
 """
 
-import contextlib
-import gzip
-import io
-import json
 import random
-from pathlib import Path
 
 import pytest
 
 from cosetchar.cli import main
 from cosetchar.cosets import CosetAnalysis
 from cosetchar.groupio import build_group, parse_group_spec
+from goldens import ROOT, load, record, resolved
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "invert.json.gz"
 SPECS = (
     "fixtures/f5.group",
@@ -49,36 +44,12 @@ def _command_lines():
                 yield ["invert", spec, *given, "--coset", an.coset_label(coset), "--json"]
 
 
-def _resolved(argv):
-    return [str(ROOT / a) if (ROOT / a).is_file() else a for a in argv]
-
-
-def _load():
-    with gzip.open(GOLDEN, "rt", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def record():
-    entries = []
-    for argv in _command_lines():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(_resolved(argv))
-        if code != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {code}")
-        entries.append({"argv": argv, "stdout": out.getvalue()})
-    GOLDEN.parent.mkdir(exist_ok=True)
-    with gzip.GzipFile(GOLDEN, "wb", mtime=0) as fh:
-        fh.write(json.dumps(entries, indent=1).encode("utf-8"))
-    print(f"{len(entries)} command lines recorded in {GOLDEN.relative_to(ROOT)}")
-
-
-@pytest.mark.parametrize("entry", _load(),
+@pytest.mark.parametrize("entry", load(GOLDEN),
                          ids=lambda e: " ".join(e["argv"][1:-1]))
 def test_invert_json_matches_golden(entry, capsys):
-    assert main(_resolved(entry["argv"])) == 0
+    assert main(resolved(entry["argv"])) == 0
     assert capsys.readouterr().out == entry["stdout"]
 
 
 if __name__ == "__main__":
-    record()
+    record(GOLDEN, list(_command_lines()))

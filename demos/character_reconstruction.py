@@ -12,11 +12,11 @@ belonging to each orbit.
 """
 
 from cosetchar.cosets import CosetAnalysis
-from cosetchar.groups import Permutation, generate_group, subgroup_generated
+from cosetchar.groups import generate_group, subgroup_generated
 from cosetchar.inversion import Theta, decompose, psi_power_value
 
-shift = Permutation([1, 2, 3, 4, 0])
-double = Permutation([0, 2, 4, 1, 3])
+shift = (1, 2, 3, 4, 0)
+double = (0, 2, 4, 1, 3)
 G = generate_group(5, [shift, double])
 analysis = CosetAnalysis(G, subgroup_generated(G, [shift]), label="F5")
 

@@ -10,14 +10,14 @@ construction, so what is printed here is already proved internally.
 
 from cosetchar.chartable import character_table
 from cosetchar.groupio import build_group, parse_group_spec
-from cosetchar.groups import Permutation, conjugacy_classes, generate_group
+from cosetchar.groups import conjugacy_classes, generate_group
 
 # the symmetric group on four points from a transposition and a 4-cycle
-S4 = generate_group(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+S4 = generate_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
 
 # the quaternion group acting on its own eight elements
-Q8 = generate_group(8, [Permutation([2, 3, 1, 0, 6, 7, 5, 4]),
-                        Permutation([4, 5, 7, 6, 1, 0, 2, 3])])
+Q8 = generate_group(8, [(2, 3, 1, 0, 6, 7, 5, 4),
+                        (4, 5, 7, 6, 1, 0, 2, 3)])
 
 # all invertible 2x2 matrices over the three-element field, ingested as
 # permutations of the eight nonzero column vectors

@@ -11,11 +11,11 @@ same count, and scaled character values form a unitary matrix.
 import math
 
 from cosetchar.cosets import CosetAnalysis
-from cosetchar.groups import Permutation, generate_group, subgroup_generated
+from cosetchar.groups import generate_group, subgroup_generated
 
 # the group: x -> x+1 (order 5, normal) and x -> 2x (order 4) on {0..4}
-shift = Permutation([1, 2, 3, 4, 0])
-double = Permutation([0, 2, 4, 1, 3])
+shift = (1, 2, 3, 4, 0)
+double = (0, 2, 4, 1, 3)
 G = generate_group(5, [shift, double])
 analysis = CosetAnalysis(G, subgroup_generated(G, [shift]), label="F5")
 

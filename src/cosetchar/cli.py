@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .groupio import (
     parse_theta,
     build_group,
 )
-from .groups import DEFAULT_ORDER_LIMIT
+from .groups import DEFAULT_ORDER_LIMIT, cycle_string
 from .inversion import Theta, decompose
 
 
@@ -165,7 +166,7 @@ def _cmd_table(args) -> int:
                     "index": k,
                     "size": classes.sizes[k],
                     "element_order": G.element_order(classes.representatives[k]),
-                    "representative": list(G.elements[classes.representatives[k]].images),
+                    "representative": list(G.elements[classes.representatives[k]]),
                 }
                 for k in range(classes.n_classes)
             ],
@@ -185,7 +186,7 @@ def _cmd_table(args) -> int:
     print(f"character table of {analysis.label}: order {G.order}, "
           f"{classes.n_classes} classes, exponent {table.exponent}")
     for k in range(classes.n_classes):
-        rep = G.elements[classes.representatives[k]]
+        rep = cycle_string(G.elements[classes.representatives[k]])
         print(f"class {k}: size {classes.sizes[k]}, "
               f"element order {G.element_order(classes.representatives[k])}, rep {rep}")
     width = max(len(str(v)) for row in table.rows for v in row.values)
@@ -332,6 +333,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed standard output early, after the work succeeded;
+        # point it at the null device so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

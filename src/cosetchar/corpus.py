@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .chartable import restriction_norm
 from .cosets import CosetAnalysis
 from .groupio import AnyGroupSpec, GroupSpec, MatrixGroupSpec, build_group
-from .groups import Permutation
 from .inversion import Theta, decompose
 
 
@@ -23,8 +22,8 @@ def _perm_spec(label: str, degree: int, gens, normals) -> GroupSpec:
     return GroupSpec(
         label=label,
         degree=degree,
-        generators=tuple(Permutation(g) for g in gens),
-        normal_generators=tuple(Permutation(g) for g in normals),
+        generators=tuple(map(tuple, gens)),
+        normal_generators=tuple(map(tuple, normals)),
     )
 
 

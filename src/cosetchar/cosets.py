@@ -33,7 +33,6 @@ from .groups import (
     AbelianQuotient,
     ConjugacyClasses,
     FiniteGroup,
-    Permutation,
     Subgroup,
     conjugacy_classes,
     quotient,
@@ -329,7 +328,7 @@ class CosetAnalysis:
     """
 
     def __init__(self, group: FiniteGroup,
-                 normal: Union[Subgroup, Iterable[Union[int, Permutation]]],
+                 normal: Union[Subgroup, Iterable[Union[int, Sequence[int]]]],
                  *, label: str = "G"):
         if not isinstance(normal, Subgroup):
             normal = subgroup_generated(group, normal)

@@ -19,7 +19,6 @@ from .errors import HypothesisError, ParseError
 from .groups import (
     DEFAULT_ORDER_LIMIT,
     FiniteGroup,
-    Permutation,
     Subgroup,
     generate_group,
     subgroup_generated,
@@ -28,12 +27,13 @@ from .groups import (
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A group given by permutation generators on {0..degree-1}."""
+    """A group given by permutation generators on {0..degree-1}, each a
+    tuple of images."""
 
     label: str
     degree: int
-    generators: tuple[Permutation, ...]
-    normal_generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]
+    normal_generators: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ThetaSpec:
 AnyGroupSpec = Union[GroupSpec, MatrixGroupSpec]
 
 
-def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> Permutation:
+def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> tuple[int, ...]:
     try:
         images = [int(x) for x in parts]
     except ValueError as exc:
@@ -67,7 +67,7 @@ def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> Permut
             f"line {lineno}: expected {degree} images, got {len(images)}")
     if sorted(images) != list(range(degree)):
         raise ParseError(f"line {lineno}: images are not a permutation of 0..{degree - 1}")
-    return Permutation(images)
+    return tuple(images)
 
 
 def _prime_problem(prime: int) -> Optional[str]:
@@ -249,7 +249,7 @@ def parse_theta(text: str, n_classes: Optional[int] = None,
     return ThetaSpec(values=values)
 
 
-def matrix_to_permutation(mat: tuple[int, int, int, int], prime: int) -> Permutation:
+def matrix_to_permutation(mat: tuple[int, int, int, int], prime: int) -> tuple[int, ...]:
     """The permutation a matrix induces on the nonzero column vectors over
     the prime field, with vectors (a, b) ordered lexicographically."""
     a, b, c, d = (x % prime for x in mat)
@@ -263,10 +263,8 @@ def matrix_to_permutation(mat: tuple[int, int, int, int], prime: int) -> Permuta
                 continue
             index[(x, y)] = len(vectors)
             vectors.append((x, y))
-    images = []
-    for (x, y) in vectors:
-        images.append(index[((a * x + b * y) % prime, (c * x + d * y) % prime)])
-    return Permutation(images)
+    return tuple(index[((a * x + b * y) % prime, (c * x + d * y) % prime)]
+                 for (x, y) in vectors)
 
 
 def build_group(spec: AnyGroupSpec,

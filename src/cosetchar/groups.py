@@ -1,15 +1,19 @@
-"""Permutation groups at desk scale.
+"""Finite permutation groups at desk scale.
 
-Groups are fully enumerated (breadth-first over the generators, identity
-first), which keeps conjugacy classes, normal subgroups and abelian
-quotients exact and deterministic.  Composition is right-to-left
-throughout: (p * q)(i) = p(q(i)).
+An element is its tuple of images: the permutation p of {0, ..., d-1} is
+the tuple (p(0), ..., p(d-1)), and a group holds its elements in that one
+form, each also known by its index.  Groups are fully enumerated
+(breadth-first over the generators, identity first), which keeps conjugacy
+classes, normal subgroups and abelian quotients exact and deterministic.
+Composition is right-to-left throughout: (p * q)(i) = p(q(i)), so the
+product of image tuples a and b is `tuple([a[k] for k in b])`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import HypothesisError, ensure
@@ -17,108 +21,37 @@ from .errors import HypothesisError, ensure
 DEFAULT_ORDER_LIMIT = 20000
 
 
-class Permutation:
-    """A permutation of {0, ..., d-1} stored as its list of images."""
+def _cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, each starting at its smallest point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start] or images[start] == start:
+            continue
+        cyc = [start]
+        seen[start] = True
+        nxt = images[start]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt] = True
+            nxt = images[nxt]
+        out.append(tuple(cyc))
+    return out
 
-    __slots__ = ("images",)
 
-    def __init__(self, images: Iterable[int]):
-        tup = tuple(int(x) for x in images)
-        if sorted(tup) != list(range(len(tup))):
-            raise ValueError(f"images {tup!r} are not a bijection on 0..{len(tup) - 1}")
-        self.images = tup
-
-    @classmethod
-    def _unsafe(cls, images: tuple[int, ...]) -> "Permutation":
-        self = object.__new__(cls)
-        self.images = images
-        return self
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls._unsafe(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> "Permutation":
-        images = list(range(degree))
-        for cyc in cycles:
-            cyc = tuple(cyc)
-            for i, pt in enumerate(cyc):
-                images[pt] = cyc[(i + 1) % len(cyc)]
-        return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        img = self.images
-        return Permutation._unsafe(tuple(img[i] for i in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Permutation._unsafe(tuple(inv))
-
-    def order(self) -> int:
-        n = 1
-        cur = self
-        ident = tuple(range(self.degree))
-        while cur.images != ident:
-            cur = cur * self
-            n += 1
-        return n
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self.images[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self.images[nxt]
-            out.append(tuple(cyc))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
-
-    def __str__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+def cycle_string(images: Sequence[int]) -> str:
+    """Cycle notation, such as "(0 1 2)(3 4)"; "()" for the identity."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in _cycles(images)) or "()"
 
 
 class FiniteGroup:
     """A fully enumerated permutation group; element 0 is the identity."""
 
-    def __init__(self, degree: int, elements: Sequence[Permutation],
+    def __init__(self, degree: int, elements: Sequence[tuple[int, ...]],
                  generator_indices: Sequence[int]):
         self.degree = degree
         self.elements = tuple(elements)
-        self.element_index = {p.images: i for i, p in enumerate(self.elements)}
+        self.element_index = {p: i for i, p in enumerate(self.elements)}
         self.generators = tuple(generator_indices)
         self._inverses: tuple[int, ...] | None = None
         self._orders: tuple[int, ...] | None = None
@@ -128,60 +61,63 @@ class FiniteGroup:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        return self.element_index[(self.elements[i] * self.elements[j]).images]
+        a = self.elements[i]
+        return self.element_index[tuple([a[k] for k in self.elements[j]])]
 
     def inv(self, i: int) -> int:
         if self._inverses is None:
+            # the inverse of p sends p(k) to k: the points sorted by their images
             self._inverses = tuple(
-                self.element_index[p.inverse().images] for p in self.elements
-            )
+                self.element_index[tuple(sorted(range(self.degree), key=p.__getitem__))]
+                for p in self.elements)
         return self._inverses[i]
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
-            self._orders = tuple(p.order() for p in self.elements)
+            self._orders = tuple(lcm(*map(len, _cycles(p))) for p in self.elements)
         return self._orders[i]
 
-    def index_of(self, perm: Permutation) -> int:
+    def index_of(self, images: Sequence[int]) -> int:
         try:
-            return self.element_index[perm.images]
+            return self.element_index[tuple(images)]
         except KeyError:
-            raise ValueError(f"{perm} is not an element of this group") from None
+            raise ValueError(f"{list(images)} is not an element of this group") from None
 
     def __repr__(self):
         return f"<FiniteGroup of order {self.order} on {self.degree} points>"
 
 
-def generate_group(degree: int, generators: Iterable[Union[Permutation, Sequence[int]]],
+def generate_group(degree: int, generators: Iterable[Sequence[int]],
                    order_limit: int = DEFAULT_ORDER_LIMIT) -> FiniteGroup:
-    """Close the generators under composition, breadth first.
+    """Close the generators, given by their images, under composition,
+    breadth first.
 
     The element order is deterministic: identity first, then new products
     x * g in frontier order with generators in the given order.
     """
     if order_limit < 1:
         raise ValueError(f"order limit must be positive, got {order_limit}")
-    gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
+    gens = [tuple(int(x) for x in g) for g in generators]
     for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} does not match {degree}")
-    ident = Permutation.identity(degree)
+        if sorted(g) != list(range(degree)):
+            raise ValueError(f"images {g!r} are not a bijection on 0..{degree - 1}")
+    ident = tuple(range(degree))
     elements = [ident]
-    index = {ident.images: 0}
+    index = {ident: 0}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = x * g
-                if y.images not in index:
+                y = tuple([x[k] for k in g])
+                if y not in index:
                     if len(elements) >= order_limit:
                         raise ValueError(f"group order exceeds the limit {order_limit}")
-                    index[y.images] = len(elements)
+                    index[y] = len(elements)
                     elements.append(y)
                     nxt.append(y)
         frontier = nxt
-    return FiniteGroup(degree, elements, tuple(index[g.images] for g in gens))
+    return FiniteGroup(degree, elements, tuple(index[g] for g in gens))
 
 
 @dataclass(frozen=True)
@@ -263,9 +199,9 @@ class Subgroup:
         return f"<Subgroup of order {self.order}>"
 
 
-def subgroup_generated(G: FiniteGroup, elems: Iterable[Union[int, Permutation]]) -> Subgroup:
-    """The subgroup of G generated by the given elements (indices or permutations)."""
-    seeds = [G.index_of(e) if isinstance(e, Permutation) else int(e) for e in elems]
+def subgroup_generated(G: FiniteGroup, elems: Iterable[Union[int, Sequence[int]]]) -> Subgroup:
+    """The subgroup of G generated by the given elements (indices or image sequences)."""
+    seeds = [G.index_of(e) if isinstance(e, Sequence) else int(e) for e in elems]
     for s in seeds:
         if not 0 <= s < G.order:
             raise ValueError(f"element index {s} out of range")

@@ -10,10 +10,18 @@ import itertools
 from math import lcm
 
 from cosetchar.cyclotomic import from_rational, root_of_unity
-from cosetchar.groups import Permutation
 
 W = root_of_unity(3)
 I = root_of_unity(4)
+
+
+def from_cycles(degree, *cycles):
+    """The images of the permutation of {0..degree-1} with the given cycles."""
+    images = list(range(degree))
+    for cyc in cycles:
+        for i, pt in enumerate(cyc):
+            images[pt] = cyc[(i + 1) % len(cyc)]
+    return tuple(images)
 
 
 def _rows(rows):
@@ -21,32 +29,32 @@ def _rows(rows):
 
 
 def s3_generators():
-    return 3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])]
+    return 3, [(1, 0, 2), (1, 2, 0)]
 
 
 def s4_generators():
-    return 4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])]
+    return 4, [(1, 0, 2, 3), (1, 2, 3, 0)]
 
 
 def a4_generators():
-    return 4, [Permutation.from_cycles(4, (0, 1, 2)),
-               Permutation.from_cycles(4, (0, 1), (2, 3))]
+    return 4, [from_cycles(4, (0, 1, 2)),
+               from_cycles(4, (0, 1), (2, 3))]
 
 
 def q8_generators():
     # left multiplication on 1, -1, i, -i, j, -j, k, -k
-    return 8, [Permutation([2, 3, 1, 0, 6, 7, 5, 4]),
-               Permutation([4, 5, 7, 6, 1, 0, 2, 3])]
+    return 8, [(2, 3, 1, 0, 6, 7, 5, 4),
+               (4, 5, 7, 6, 1, 0, 2, 3)]
 
 
 def d4_generators():
-    return 4, [Permutation.from_cycles(4, (0, 1, 2, 3)),
-               Permutation.from_cycles(4, (1, 3))]
+    return 4, [from_cycles(4, (0, 1, 2, 3)),
+               from_cycles(4, (1, 3))]
 
 
 def f5_generators():
-    return 5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
-               Permutation([0, 2, 4, 1, 3])]
+    return 5, [from_cycles(5, (0, 1, 2, 3, 4)),
+               (0, 2, 4, 1, 3)]
 
 
 TEXTBOOK_TABLES = {

@@ -16,7 +16,6 @@ from cosetchar.cosets import CosetAnalysis
 from cosetchar.cyclotomic import from_rational, root_of_unity
 from cosetchar.groupio import build_group, parse_group_spec
 from cosetchar.groups import (
-    Permutation,
     conjugacy_classes,
     generate_group,
     subgroup_generated,
@@ -29,13 +28,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _f5_analysis():
-    G = generate_group(5, [Permutation([1, 2, 3, 4, 0]), Permutation([0, 2, 4, 1, 3])])
-    return CosetAnalysis(G, subgroup_generated(G, [Permutation([1, 2, 3, 4, 0])]))
+    G = generate_group(5, [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)])
+    return CosetAnalysis(G, subgroup_generated(G, [(1, 2, 3, 4, 0)]))
 
 
 def _s3_analysis():
-    G = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
-    return CosetAnalysis(G, subgroup_generated(G, [Permutation([1, 2, 0])]))
+    G = generate_group(3, [(1, 0, 2), (1, 2, 0)])
+    return CosetAnalysis(G, subgroup_generated(G, [(1, 2, 0)]))
 
 
 def _exact_gram_check(analysis, rep):
@@ -88,8 +87,8 @@ def test_criterion_2_gl23_matrix_ingestion():
 
 def test_criterion_3_q8_center_all_cosets():
     t0 = time.perf_counter()
-    i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
-    j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])
+    i = (2, 3, 1, 0, 6, 7, 5, 4)
+    j = (4, 5, 7, 6, 1, 0, 2, 3)
     G = generate_group(8, [i, j])
     center = subgroup_generated(G, [G.mul(G.index_of(i), G.index_of(i))])
     an = CosetAnalysis(G, center)

@@ -23,13 +23,12 @@ from cosetchar.cyclotomic import Cyclotomic, _power_table, from_rational, root_o
 from cosetchar.errors import InternalCheckError, ensure
 from cosetchar.groupio import MatrixGroupSpec, build_group
 from cosetchar.groups import (
-    Permutation,
     conjugacy_classes,
     generate_group,
     subgroup_as_group,
     subgroup_generated,
 )
-from tablefixtures import TEXTBOOK_TABLES, tables_match
+from tablefixtures import TEXTBOOK_TABLES, from_cycles, tables_match
 
 
 def build(name):
@@ -41,7 +40,7 @@ def test_class_constants_trivial_and_c2():
     triv = generate_group(1, [])
     cls = conjugacy_classes(triv)
     assert class_constants(triv, cls) == [[[1]]]
-    c2 = generate_group(2, [Permutation([1, 0])])
+    c2 = generate_group(2, [(1, 0)])
     cls2 = conjugacy_classes(c2)
     a = class_constants(c2, cls2)
     # the flip times itself is the identity, once
@@ -67,7 +66,7 @@ def test_class_constants_match_pair_enumeration():
 
 
 def test_character_table_c2():
-    c2 = generate_group(2, [Permutation([1, 0])])
+    c2 = generate_group(2, [(1, 0)])
     table = character_table(c2)
     assert table.degrees == (1, 1)
     got = {tuple(str(v) for v in row.values) for row in table.rows}
@@ -112,7 +111,7 @@ def test_inner_products_f5():
 def test_restrict_to_a3():
     s3 = build("S3")
     table = character_table(s3)
-    a3 = subgroup_generated(s3, [Permutation([1, 2, 0])])
+    a3 = subgroup_generated(s3, [(1, 2, 0)])
     H = subgroup_as_group(s3, a3)
     hcls = conjugacy_classes(H)
     std = table.rows[-1]
@@ -128,7 +127,7 @@ def test_restrict_to_a3():
 def test_restriction_norm_f5():
     f5 = build("F5")
     table = character_table(f5)
-    n = subgroup_generated(f5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4))])
+    n = subgroup_generated(f5, [from_cycles(5, (0, 1, 2, 3, 4))])
     big = table.rows[-1]
     assert restriction_norm(big, n) == 4
     assert restriction_norm(table.rows[0], n) == 1
@@ -163,7 +162,7 @@ def test_class_function_arithmetic():
     assert (triv * other).values == other.values
     with pytest.raises(ValueError):
         ClassFunction(s3, cls, [1])
-    c2 = generate_group(2, [Permutation([1, 0])])
+    c2 = generate_group(2, [(1, 0)])
     f2 = character_table(c2).rows[0]
     with pytest.raises(ValueError):
         inner_product(triv, f2)
@@ -221,8 +220,8 @@ def certified_tables():
         out[spec.label] = (character_table(G), N)
     gl2_5 = MatrixGroupSpec("GL2(5)", 5, ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)), ())
     out["GL2(5)"] = (character_table(build_group(gl2_5)[0]), None)
-    s6 = generate_group(6, [Permutation.from_cycles(6, (0, 1)),
-                            Permutation.from_cycles(6, (0, 1, 2, 3, 4, 5))])
+    s6 = generate_group(6, [from_cycles(6, (0, 1)),
+                            from_cycles(6, (0, 1, 2, 3, 4, 5))])
     out["S6"] = (character_table(s6), None)
     return out
 

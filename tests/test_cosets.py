@@ -13,7 +13,6 @@ from cosetchar.cosets import (
 from cosetchar.cyclotomic import from_rational, root_of_unity
 from cosetchar.errors import HypothesisError
 from cosetchar.groups import (
-    Permutation,
     generate_group,
     quotient,
     subgroup_generated,
@@ -24,26 +23,26 @@ from tablefixtures import f5_generators, q8_generators, s3_generators
 
 def f5_analysis():
     G = generate_group(*f5_generators())
-    N = subgroup_generated(G, [Permutation([1, 2, 3, 4, 0])])
+    N = subgroup_generated(G, [(1, 2, 3, 4, 0)])
     return CosetAnalysis(G, N)
 
 
 def s3_analysis():
     G = generate_group(*s3_generators())
-    N = subgroup_generated(G, [Permutation([1, 2, 0])])
+    N = subgroup_generated(G, [(1, 2, 0)])
     return CosetAnalysis(G, N)
 
 
 def q8_analysis(center: bool):
     G = generate_group(*q8_generators())
-    i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
+    i = (2, 3, 1, 0, 6, 7, 5, 4)
     gen = [G.mul(G.index_of(i), G.index_of(i))] if center else [i]
     return CosetAnalysis(G, subgroup_generated(G, gen))
 
 
 def test_dual_group_c2():
     G = generate_group(*s3_generators())
-    N = subgroup_generated(G, [Permutation([1, 2, 0])])
+    N = subgroup_generated(G, [(1, 2, 0)])
     Q = quotient(G, N)
     chars = dual_group(Q)
     assert len(chars) == 2
@@ -231,8 +230,8 @@ def test_nontrivial_extension_cases():
     assert an.classes.sizes[idx] == 3
 
     # C4 over C2: all classes have one element, so an extension exists
-    c4 = generate_group(4, [Permutation([1, 2, 3, 0])])
-    sq = subgroup_generated(c4, [Permutation([2, 3, 0, 1])])
+    c4 = generate_group(4, [(1, 2, 3, 0)])
+    sq = subgroup_generated(c4, [(2, 3, 0, 1)])
     ok, (kind, _) = CosetAnalysis(c4, sq).nontrivial_extension()
     assert ok and kind == "extending_character_row"
 

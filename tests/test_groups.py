@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from cosetchar.errors import HypothesisError
 from cosetchar.groups import (
     AbelianQuotient,
-    Permutation,
     conjugacy_classes,
+    cycle_string,
     generate_group,
     is_normal,
     quotient,
     subgroup_as_group,
     subgroup_generated,
 )
+from tablefixtures import from_cycles
 
 
 def brute_closure(degree, gens):
@@ -41,54 +42,68 @@ def brute_conjugacy_partition(G):
 
 
 def test_permutation_basics():
-    p = Permutation([1, 0, 2])
-    q = Permutation.from_cycles(3, (0, 1, 2))
-    assert (p * q).images == tuple(p.images[q.images[i]] for i in range(3))
-    assert p * p == Permutation.identity(3)
-    assert (q * q * q) == Permutation.identity(3)
-    assert q.inverse() * q == Permutation.identity(3)
-    assert q.order() == 3 and p.order() == 2
-    assert str(q) == "(0 1 2)" and str(Permutation.identity(3)) == "()"
+    s3 = generate_group(3, [(1, 0, 2), from_cycles(3, (0, 1, 2))])
+    p, q = s3.generators
+    # right-to-left composition: (p * q)(i) = p(q(i))
+    assert s3.elements[s3.mul(p, q)] == (0, 2, 1)
+    assert s3.elements[s3.mul(q, p)] == (2, 1, 0)
+    assert s3.mul(p, p) == 0 and s3.elements[0] == (0, 1, 2)
+    assert s3.mul(s3.mul(q, q), q) == 0
+    assert s3.mul(s3.inv(q), q) == 0 and s3.elements[s3.inv(q)] == (2, 0, 1)
+    assert s3.element_order(q) == 3 and s3.element_order(p) == 2
+    assert s3.element_order(0) == 1
+    assert cycle_string(s3.elements[q]) == "(0 1 2)" and cycle_string((0, 1, 2)) == "()"
+    assert cycle_string(from_cycles(5, (3, 1), (4, 0, 2))) == "(0 2 4)(1 3)"
     with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
+        generate_group(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
-        Permutation([1, 0]) * Permutation([0, 1, 2])
+        generate_group(3, [(1, 0)])
+
+
+S5 = generate_group(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(range(5)), st.permutations(range(5)), st.permutations(range(5)))
 def test_permutation_group_axioms(a, b, c):
-    p, q, r = Permutation(a), Permutation(b), Permutation(c)
-    assert (p * q) * r == p * (q * r)
-    assert p * p.inverse() == Permutation.identity(5)
-    assert (p * q)(3) == p(q(3))
+    p, q, r = S5.index_of(a), S5.index_of(b), S5.index_of(c)
+    assert S5.mul(S5.mul(p, q), r) == S5.mul(p, S5.mul(q, r))
+    assert S5.mul(p, 0) == p == S5.mul(0, p)
+    assert S5.mul(p, S5.inv(p)) == 0 == S5.mul(S5.inv(p), p)
+    assert S5.elements[S5.mul(p, q)][3] == a[b[3]]
+    # the order is the smallest k with p^k = 1
+    k, power = 1, p
+    while power != 0:
+        power = S5.mul(power, p)
+        k += 1
+    assert S5.element_order(p) == k
 
 
 def test_generate_cyclic_and_frobenius():
-    c5 = generate_group(5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4))])
+    c5 = generate_group(5, [from_cycles(5, (0, 1, 2, 3, 4))])
     assert c5.order == 5
     f5 = generate_group(5, [
-        Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
-        Permutation([0, 2, 4, 1, 3]),  # x -> 2x mod 5
+        from_cycles(5, (0, 1, 2, 3, 4)),
+        (0, 2, 4, 1, 3),  # x -> 2x mod 5
     ])
     assert f5.order == 20
-    assert f5.elements[0] == Permutation.identity(5)
+    assert f5.elements[0] == (0, 1, 2, 3, 4)
 
 
 def test_generate_matches_brute_closure():
     gens = [(1, 0, 2), (1, 2, 0)]
-    G = generate_group(3, [Permutation(g) for g in gens])
-    assert {p.images for p in G.elements} == brute_closure(3, gens)
+    G = generate_group(3, gens)
+    assert set(G.elements) == brute_closure(3, gens)
     assert G.order == 6
 
 
 def test_order_limit():
     with pytest.raises(ValueError):
-        generate_group(5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4))], order_limit=3)
+        generate_group(5, [from_cycles(5, (0, 1, 2, 3, 4))], order_limit=3)
 
 
 def test_conjugacy_classes_c5():
-    c5 = generate_group(5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4))])
+    c5 = generate_group(5, [from_cycles(5, (0, 1, 2, 3, 4))])
     cls = conjugacy_classes(c5)
     assert cls.sizes == (1, 1, 1, 1, 1)
     assert cls.representatives[0] == 0
@@ -96,8 +111,8 @@ def test_conjugacy_classes_c5():
 
 def test_conjugacy_classes_f5_sizes():
     f5 = generate_group(5, [
-        Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
-        Permutation([0, 2, 4, 1, 3]),
+        from_cycles(5, (0, 1, 2, 3, 4)),
+        (0, 2, 4, 1, 3),
     ])
     cls = conjugacy_classes(f5)
     assert sorted(cls.sizes) == [1, 4, 5, 5, 5]
@@ -108,21 +123,20 @@ def test_conjugacy_classes_f5_sizes():
 
 
 def test_conjugacy_partition_matches_oracle():
-    G = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
+    G = generate_group(3, [(1, 0, 2), (1, 2, 0)])
     cls = conjugacy_classes(G)
     assert {frozenset(m) for m in cls.members} == brute_conjugacy_partition(G)
 
 
 def test_subgroups_and_normality():
-    s3 = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
-    a3 = subgroup_generated(s3, [Permutation([1, 2, 0])])
+    s3 = generate_group(3, [(1, 0, 2), (1, 2, 0)])
+    a3 = subgroup_generated(s3, [(1, 2, 0)])
     assert a3.order == 3
     assert is_normal(s3, a3)
-    flip = subgroup_generated(s3, [Permutation([1, 0, 2])])
+    flip = subgroup_generated(s3, [(1, 0, 2)])
     assert flip.order == 2
     # oracle: conjugating the transposition by a 3-cycle leaves the subgroup
-    c = Permutation([1, 2, 0])
-    conj = c * Permutation([1, 0, 2]) * c.inverse()
+    conj = (0, 2, 1)  # (1 2) = (0 1 2)(0 1)(0 1 2)^-1
     assert s3.index_of(conj) not in flip
     assert not is_normal(s3, flip)
     triv = subgroup_generated(s3, [])
@@ -130,15 +144,15 @@ def test_subgroups_and_normality():
 
 
 def test_subgroup_as_group():
-    s3 = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
-    a3 = subgroup_generated(s3, [Permutation([1, 2, 0])])
+    s3 = generate_group(3, [(1, 0, 2), (1, 2, 0)])
+    a3 = subgroup_generated(s3, [(1, 2, 0)])
     H = subgroup_as_group(s3, a3)
     assert H.order == 3 and H.degree == 3
-    assert {p.images for p in H.elements} == {s3.elements[i].images for i in a3.members}
+    assert set(H.elements) == {s3.elements[i] for i in a3.members}
 
 
 def test_quotient_trivial_and_whole():
-    s3 = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
+    s3 = generate_group(3, [(1, 0, 2), (1, 2, 0)])
     whole = subgroup_generated(s3, list(range(6)))
     Q = quotient(s3, whole)
     assert Q.size == 1 and Q.is_cyclic and Q.cyclic_factors == ()
@@ -146,14 +160,14 @@ def test_quotient_trivial_and_whole():
 
 
 def test_quotient_not_normal_raises():
-    s3 = generate_group(3, [Permutation([1, 0, 2]), Permutation([1, 2, 0])])
-    flip = subgroup_generated(s3, [Permutation([1, 0, 2])])
+    s3 = generate_group(3, [(1, 0, 2), (1, 2, 0)])
+    flip = subgroup_generated(s3, [(1, 0, 2)])
     with pytest.raises(HypothesisError):
         quotient(s3, flip)
 
 
 def test_quotient_not_abelian_raises():
-    s4 = generate_group(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    s4 = generate_group(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
     triv = subgroup_generated(s4, [])
     with pytest.raises(HypothesisError):
         quotient(s4, triv)
@@ -161,10 +175,10 @@ def test_quotient_not_abelian_raises():
 
 def test_quotient_f5_is_cyclic_of_order_4():
     f5 = generate_group(5, [
-        Permutation.from_cycles(5, (0, 1, 2, 3, 4)),
-        Permutation([0, 2, 4, 1, 3]),
+        from_cycles(5, (0, 1, 2, 3, 4)),
+        (0, 2, 4, 1, 3),
     ])
-    n = subgroup_generated(f5, [Permutation.from_cycles(5, (0, 1, 2, 3, 4))])
+    n = subgroup_generated(f5, [from_cycles(5, (0, 1, 2, 3, 4))])
     Q = quotient(f5, n)
     assert Q.size == 4 and Q.is_cyclic
     assert [o for _, o in Q.cyclic_factors] == [4]
@@ -179,11 +193,12 @@ def test_quotient_f5_is_cyclic_of_order_4():
 def test_quotient_q8_central_is_klein():
     # quaternion group acting on itself by left multiplication,
     # points ordered 1, -1, i, -i, j, -j, k, -k
-    perm_i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
-    perm_j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])
+    perm_i = (2, 3, 1, 0, 6, 7, 5, 4)
+    perm_j = (4, 5, 7, 6, 1, 0, 2, 3)
     q8 = generate_group(8, [perm_i, perm_j])
     assert q8.order == 8
-    center = subgroup_generated(q8, [perm_i * perm_i])
+    i = q8.index_of(perm_i)
+    center = subgroup_generated(q8, [q8.mul(i, i)])
     assert center.order == 2
     Q = quotient(q8, center)
     assert Q.size == 4 and not Q.is_cyclic
@@ -197,8 +212,8 @@ def test_quotient_q8_central_is_klein():
 
 
 def test_power_coset_exhaustive_c6_over_c3():
-    c6 = generate_group(6, [Permutation.from_cycles(6, (0, 1, 2, 3, 4, 5))])
-    c3 = subgroup_generated(c6, [Permutation.from_cycles(6, (0, 2, 4), (1, 3, 5))])
+    c6 = generate_group(6, [from_cycles(6, (0, 1, 2, 3, 4, 5))])
+    c3 = subgroup_generated(c6, [from_cycles(6, (0, 2, 4), (1, 3, 5))])
     Q = quotient(c6, c3)
     assert Q.size == 2
     for c in range(2):
@@ -213,8 +228,8 @@ def test_power_coset_exhaustive_c6_over_c3():
 
 def test_invariant_factor_shapes():
     # C2 x C4 built from commuting cycles on disjoint points
-    g1 = Permutation.from_cycles(6, (0, 1))
-    g2 = Permutation.from_cycles(6, (2, 3, 4, 5))
+    g1 = from_cycles(6, (0, 1))
+    g2 = from_cycles(6, (2, 3, 4, 5))
     G = generate_group(6, [g1, g2])
     assert G.order == 8
     triv = subgroup_generated(G, [])

@@ -11,7 +11,7 @@ from cosetchar.chartable import ClassFunction
 from cosetchar.cosets import CosetAnalysis
 from cosetchar.cyclotomic import from_rational, root_of_unity
 from cosetchar.errors import HypothesisError, InternalCheckError, ensure
-from cosetchar.groups import Permutation, generate_group, subgroup_generated
+from cosetchar.groups import generate_group, subgroup_generated
 from cosetchar.inversion import (
     PsiComponent,
     Theta,
@@ -26,17 +26,17 @@ from tablefixtures import f5_generators, q8_generators, s3_generators
 
 def f5_analysis():
     G = generate_group(*f5_generators())
-    return CosetAnalysis(G, subgroup_generated(G, [Permutation([1, 2, 3, 4, 0])]))
+    return CosetAnalysis(G, subgroup_generated(G, [(1, 2, 3, 4, 0)]))
 
 
 def s3_analysis():
     G = generate_group(*s3_generators())
-    return CosetAnalysis(G, subgroup_generated(G, [Permutation([1, 2, 0])]))
+    return CosetAnalysis(G, subgroup_generated(G, [(1, 2, 0)]))
 
 
 def q8_c4_analysis():
     G = generate_group(*q8_generators())
-    i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
+    i = (2, 3, 1, 0, 6, 7, 5, 4)
     return CosetAnalysis(G, subgroup_generated(G, [i]))
 
 
@@ -414,7 +414,7 @@ def test_theta_from_multiplicities_validation():
 
 def test_decompose_requires_cyclic_quotient():
     G = generate_group(*q8_generators())
-    i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])
+    i = (2, 3, 1, 0, 6, 7, 5, 4)
     minus_one = G.mul(G.index_of(i), G.index_of(i))
     an = CosetAnalysis(G, subgroup_generated(G, [minus_one]))
     theta = Theta.from_multiplicities(an.table, (1,) * an.table.n_rows)

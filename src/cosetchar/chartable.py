@@ -51,9 +51,6 @@ class ClassFunction:
         self.classes = classes
         self.values = vals
 
-    def value_at(self, element_index: int) -> Cyclotomic:
-        return self.values[self.classes.class_of[element_index]]
-
     def _same_domain(self, other: "ClassFunction") -> None:
         if self.group is not other.group or self.classes is not other.classes:
             raise ValueError("class functions live on different groups")

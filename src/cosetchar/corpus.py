@@ -10,11 +10,10 @@ through the checks that trigger them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .chartable import restriction_norm
 from .cosets import CosetAnalysis
-from .groupio import AnyGroupSpec, GroupSpec, MatrixGroupSpec, build_group
+from .groupio import GroupSpec, build_group, parse_group_spec
 from .inversion import Theta, decompose
 
 
@@ -27,7 +26,7 @@ def _perm_spec(label: str, degree: int, gens, normals) -> GroupSpec:
     )
 
 
-def corpus_specs() -> tuple[AnyGroupSpec, ...]:
+def corpus_specs() -> tuple[GroupSpec, ...]:
     """The ten corpus pairs as parseable specs."""
     return (
         _perm_spec("C6/C3", 6, [[1, 2, 3, 4, 5, 0]], [[2, 3, 4, 5, 0, 1]]),
@@ -45,13 +44,13 @@ def corpus_specs() -> tuple[AnyGroupSpec, ...]:
                    [[1, 2, 0, 3], [1, 0, 3, 2]]),
         _perm_spec("F5/C5", 5, [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]],
                    [[1, 2, 3, 4, 0]]),
-        MatrixGroupSpec("GL2(3)/SL2(3)", 3,
-                        ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)),
-                        ((1, 1, 0, 1), (1, 0, 1, 1))),
+        parse_group_spec("label GL2(3)/SL2(3)\nprime 3\n"
+                         "matgen 1 1 0 1\nmatgen 1 0 1 1\nmatgen 2 0 0 1\n"
+                         "matnormal 1 1 0 1\nmatnormal 1 0 1 1\n"),
     )
 
 
-def analysis_for(spec: AnyGroupSpec) -> CosetAnalysis:
+def analysis_for(spec: GroupSpec) -> CosetAnalysis:
     """Build the full analysis for one corpus spec."""
     G, N = build_group(spec)
     return CosetAnalysis(G, N, label=spec.label)
@@ -73,7 +72,7 @@ def _run_check(results: list, case: str, name: str, fn) -> None:
         results.append(CheckResult(case, name, False, f"{type(exc).__name__}: {exc}"))
 
 
-def _check_case(spec: AnyGroupSpec, results: list) -> None:
+def _check_case(spec: GroupSpec, results: list) -> None:
     name = spec.label
     try:
         an = analysis_for(spec)
@@ -180,9 +179,9 @@ def _check_case(spec: AnyGroupSpec, results: list) -> None:
         _run_check(results, name, "reconstruction_round_trip", round_trip)
 
 
-def run_property_suite(specs: Optional[Sequence[AnyGroupSpec]] = None) -> list[CheckResult]:
-    """Run every check on every corpus pair (or on the given specs)."""
+def run_property_suite() -> list[CheckResult]:
+    """Run every check on every corpus pair."""
     results: list[CheckResult] = []
-    for spec in (corpus_specs() if specs is None else specs):
+    for spec in corpus_specs():
         _check_case(spec, results)
     return results

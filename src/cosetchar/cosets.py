@@ -72,9 +72,6 @@ class DualCharacter:
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
-    def value(self, coset: int) -> Cyclotomic:
-        return self.values[coset]
-
     def __repr__(self):
         return f"DualCharacter{self.exponents}"
 

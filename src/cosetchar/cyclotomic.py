@@ -25,7 +25,6 @@ __all__ = [
     "euler_phi",
     "root_of_unity",
     "from_rational",
-    "conjugate",
     "value_to_json",
     "value_from_json",
 ]
@@ -367,10 +366,6 @@ def root_of_unity(n: int, k: int = 1) -> Cyclotomic:
 def from_terms(order: int, terms: Iterable[tuple[int, Rational]]) -> Cyclotomic:
     """Build sum of c * zeta_order^k from (k, c) pairs, reduced exactly."""
     return Cyclotomic._raw(order, _reduce_terms(order, ((k, Fraction(c)) for k, c in terms)))
-
-
-def conjugate(value: Cyclotomic) -> Cyclotomic:
-    return value.conjugate()
 
 
 def value_to_json(value: Cyclotomic) -> dict:

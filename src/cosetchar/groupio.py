@@ -1,18 +1,22 @@
-"""Parsing and serialization of group descriptions and character inputs.
+"""Parsing of group descriptions and character inputs, and float rendering
+for JSON output.
 
 Two input styles are accepted, auto-detected: a line-oriented text format
-and a JSON object (sniffed by a leading brace).  Groups are described
+and a JSON object (sniffed by a leading brace).  Both go through one
+keyword parser, so both run every check, and an error names its line
+(`line 4: ...`) or its JSON field (`gen 2: ...`).  Groups are described
 either by permutation generators (`degree` plus `gen` lines) or by 2x2
-matrix generators over a prime field (`prime` plus `matgen` lines); matrix
-generators are converted to permutations of the nonzero column vectors.
-`normal`/`matnormal` lines list generators of the normal subgroup.
+matrix generators over a prime field (`prime` plus `matgen` lines);
+`normal`/`matnormal` lines list generators of the normal subgroup.  A
+matrix spec becomes a permutation spec on the p^2 - 1 nonzero column
+vectors as it is parsed, so `GroupSpec` is the only spec form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .cyclotomic import Cyclotomic, _is_prime, value_from_json
 from .errors import HypothesisError, ParseError
@@ -23,6 +27,9 @@ from .groups import (
     generate_group,
     subgroup_generated,
 )
+
+# (where, keyword, tokens): `where` names the text line or the JSON field
+Record = tuple[str, str, Sequence[str]]
 
 
 @dataclass(frozen=True)
@@ -37,16 +44,6 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class MatrixGroupSpec:
-    """A group given by invertible 2x2 matrices over a prime field."""
-
-    label: str
-    prime: int
-    generators: tuple[tuple[int, int, int, int], ...]
-    normal_generators: tuple[tuple[int, int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class ThetaSpec:
     """A character given either by row multiplicities or by class values."""
 
@@ -54,160 +51,109 @@ class ThetaSpec:
     values: Optional[tuple[Cyclotomic, ...]] = None
 
 
-AnyGroupSpec = Union[GroupSpec, MatrixGroupSpec]
-
-
-def _parse_permutation(parts: Sequence[str], degree: int, lineno: int) -> tuple[int, ...]:
-    try:
-        images = [int(x) for x in parts]
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: non-integer entry in permutation") from exc
-    if len(images) != degree:
-        raise ParseError(
-            f"line {lineno}: expected {degree} images, got {len(images)}")
-    if sorted(images) != list(range(degree)):
-        raise ParseError(f"line {lineno}: images are not a permutation of 0..{degree - 1}")
-    return tuple(images)
-
-
-def _prime_problem(prime: int) -> Optional[str]:
-    """Why `prime` cannot be the field of a matrix spec, or None."""
-    # the matrices act on the p^2 - 1 nonzero vectors; bounding p first keeps
-    # the trial division in _is_prime short
-    if prime * prime - 1 > DEFAULT_ORDER_LIMIT:
-        return (f"prime {prime} is too large: its matrices act on "
-                f"more than {DEFAULT_ORDER_LIMIT} vectors")
-    if not _is_prime(prime):
-        return f"{prime} is not prime"
-    return None
-
-
-def _parse_matrix(parts: Sequence[str], prime: int, lineno: int) -> tuple[int, int, int, int]:
-    try:
-        entries = [int(x) for x in parts]
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: non-integer matrix entry") from exc
-    if len(entries) != 4:
-        raise ParseError(f"line {lineno}: expected 4 matrix entries, got {len(entries)}")
-    a, b, c, d = (x % prime for x in entries)
-    if (a * d - b * c) % prime == 0:
-        raise ParseError(f"line {lineno}: matrix is singular modulo {prime}")
-    return (a, b, c, d)
-
-
-def _parse_text_spec(text: str) -> AnyGroupSpec:
-    label = "G"
-    degree: Optional[int] = None
-    prime: Optional[int] = None
-    gens: list = []
-    normals: list = []
-    kind: Optional[str] = None
+def _text_records(text: str) -> Iterable[Record]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, rest = parts[0], parts[1:]
-        if key == "label":
-            if not rest:
-                raise ParseError(f"line {lineno}: label needs a value")
-            label = " ".join(rest)
-        elif key == "degree":
-            if kind == "matrix":
-                raise ParseError(f"line {lineno}: degree is not valid in a matrix spec")
-            kind = "perm"
-            if len(rest) != 1 or not rest[0].isdigit() or int(rest[0]) < 1:
-                raise ParseError(f"line {lineno}: degree needs one positive integer")
-            degree = int(rest[0])
-        elif key == "prime":
-            if kind == "perm":
-                raise ParseError(f"line {lineno}: prime is not valid in a permutation spec")
-            kind = "matrix"
-            if len(rest) != 1 or not rest[0].isdigit():
-                raise ParseError(f"line {lineno}: prime needs one positive integer")
-            prime = int(rest[0])
-            problem = _prime_problem(prime)
-            if problem:
-                raise ParseError(f"line {lineno}: {problem}")
-        elif key == "gen":
-            if kind == "matrix":
-                raise ParseError(f"line {lineno}: gen is not valid in a matrix spec")
-            if degree is None:
-                raise ParseError(f"line {lineno}: gen before degree")
-            gens.append(_parse_permutation(rest, degree, lineno))
-        elif key == "normal":
-            if kind == "matrix":
-                raise ParseError(f"line {lineno}: normal is not valid in a matrix spec")
-            if degree is None:
-                raise ParseError(f"line {lineno}: normal before degree")
-            normals.append(_parse_permutation(rest, degree, lineno))
-        elif key == "matgen":
-            if kind == "perm":
-                raise ParseError(f"line {lineno}: matgen is not valid in a permutation spec")
-            if prime is None:
-                raise ParseError(f"line {lineno}: matgen before prime")
-            gens.append(_parse_matrix(rest, prime, lineno))
-        elif key == "matnormal":
-            if kind == "perm":
-                raise ParseError(f"line {lineno}: matnormal is not valid in a permutation spec")
-            if prime is None:
-                raise ParseError(f"line {lineno}: matnormal before prime")
-            normals.append(_parse_matrix(rest, prime, lineno))
-        else:
-            raise ParseError(f"line {lineno}: unknown keyword {key!r}")
-    if kind == "perm":
-        if not gens:
-            raise ParseError("no generators given")
-        return GroupSpec(label, degree, tuple(gens), tuple(normals))
-    if kind == "matrix":
-        if not gens:
-            raise ParseError("no generators given")
-        return MatrixGroupSpec(label, prime, tuple(gens), tuple(normals))
-    raise ParseError("spec contains neither a degree nor a prime line")
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield f"line {lineno}", parts[0], parts[1:]
 
 
-def _parse_json_spec(text: str) -> AnyGroupSpec:
+def _json_records(text: str) -> list[Record]:
+    """Check the JSON types of a spec and restate its fields as records."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("JSON spec must be an object")
-    label = data.get("label", "G")
-    if not isinstance(label, str):
-        raise ParseError("label must be a string")
-    gens = data.get("generators")
-    normals = data.get("normal", [])
-    if not isinstance(gens, list) or not gens:
-        raise ParseError("generators must be a nonempty list")
-    if not isinstance(normals, list):
-        raise ParseError("normal must be a list")
-    if not all(isinstance(g, list) for g in gens + normals):
-        raise ParseError("each generator and normal entry must be a list")
-    if "prime" in data:
-        prime = data["prime"]
-        if not isinstance(prime, int):
-            raise ParseError(f"{prime!r} is not a prime")
-        problem = _prime_problem(prime)
-        if problem:
-            raise ParseError(problem)
-        gs = tuple(_parse_matrix([str(x) for x in g], prime, 0) for g in gens)
-        ns = tuple(_parse_matrix([str(x) for x in g], prime, 0) for g in normals)
-        return MatrixGroupSpec(label, prime, gs, ns)
-    degree = data.get("degree")
-    if not isinstance(degree, int) or degree < 1:
-        raise ParseError("degree must be a positive integer")
-    gs = tuple(_parse_permutation([str(x) for x in g], degree, 0) for g in gens)
-    ns = tuple(_parse_permutation([str(x) for x in g], degree, 0) for g in normals)
-    return GroupSpec(label, degree, gs, ns)
+    records: list[Record] = []
+    if "label" in data:
+        if not isinstance(data["label"], str):
+            raise ParseError("label must be a string")
+        records.append(("label", "label", [data["label"]]))
+    for key in ("degree", "prime"):
+        if key in data:
+            # bool is a subclass of int, and JSON true is no degree
+            if type(data[key]) is not int:
+                raise ParseError(f"{key} must be an integer")
+            records.append((key, key, [str(data[key])]))
+    prefix = "mat" if "prime" in data else ""
+    for field, name in (("generators", "gen"), ("normal", "normal")):
+        rows = data.get(field, [])
+        if not isinstance(rows, list):
+            raise ParseError(f"{field} must be a list")
+        for k, row in enumerate(rows, start=1):
+            if not isinstance(row, list) or any(type(x) is not int for x in row):
+                raise ParseError(f"{name} {k}: must be a list of integers")
+            records.append((f"{name} {k}", prefix + name, [str(x) for x in row]))
+    return records
 
 
-def parse_group_spec(text: str) -> AnyGroupSpec:
+def _parse_records(records: Iterable[Record]) -> GroupSpec:
+    """The one spec parser: every check on a spec's keywords is made here."""
+    label = "G"
+    kind: Optional[str] = None  # "degree" or "prime", whichever came first
+    degree = prime = 0
+    gens: list[tuple[int, ...]] = []
+    normals: list[tuple[int, ...]] = []
+    for where, key, rest in records:
+        if key == "label":
+            if not rest:
+                raise ParseError(f"{where}: label needs a value")
+            label = " ".join(rest)
+        elif key in ("degree", "prime"):
+            if kind is not None:
+                raise ParseError(f"{where}: a spec has one degree or prime line")
+            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
+                raise ParseError(f"{where}: {key} needs one positive integer")
+            kind, degree = key, int(rest[0])
+            if key == "prime":
+                prime, degree = degree, degree * degree - 1
+                # the matrices act on the p^2 - 1 nonzero vectors; bounding
+                # p first keeps the trial division in _is_prime short
+                if degree > DEFAULT_ORDER_LIMIT:
+                    raise ParseError(
+                        f"{where}: prime {prime} is too large: its matrices act "
+                        f"on more than {DEFAULT_ORDER_LIMIT} vectors")
+                if not _is_prime(prime):
+                    raise ParseError(f"{where}: {prime} is not prime")
+        elif key in ("gen", "normal", "matgen", "matnormal"):
+            needs = "prime" if key.startswith("mat") else "degree"
+            if kind != needs:
+                raise ParseError(f"{where}: {key} needs a {needs} line before it"
+                                 + ("" if kind is None else f", not a {kind} line"))
+            try:
+                entries = [int(x) for x in rest]
+            except ValueError as exc:
+                raise ParseError(f"{where}: non-integer entry") from exc
+            if kind == "prime":
+                if len(entries) != 4:
+                    raise ParseError(
+                        f"{where}: expected 4 matrix entries, got {len(entries)}")
+                try:
+                    images = matrix_to_permutation(tuple(entries), prime)
+                except ParseError as exc:
+                    raise ParseError(f"{where}: {exc}") from None
+            else:
+                if sorted(entries) != list(range(degree)):
+                    raise ParseError(
+                        f"{where}: images are not a permutation of 0..{degree - 1}")
+                images = tuple(entries)
+            (normals if key.endswith("normal") else gens).append(images)
+        else:
+            raise ParseError(f"{where}: unknown keyword {key!r}")
+    if kind is None:
+        raise ParseError("spec contains neither a degree nor a prime line")
+    if not gens:
+        raise ParseError("no generators given")
+    return GroupSpec(label, degree, tuple(gens), tuple(normals))
+
+
+def parse_group_spec(text: str) -> GroupSpec:
     """Parse a group description, auto-detecting JSON versus line format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json_spec(text)
-    return _parse_text_spec(text)
+    if text.lstrip().startswith("{"):
+        return _parse_records(_json_records(text))
+    return _parse_records(_text_records(text))
 
 
 def parse_theta(text: str, n_classes: Optional[int] = None,
@@ -267,24 +213,16 @@ def matrix_to_permutation(mat: tuple[int, int, int, int], prime: int) -> tuple[i
                  for (x, y) in vectors)
 
 
-def build_group(spec: AnyGroupSpec,
+def build_group(spec: GroupSpec,
                 order_limit: int = DEFAULT_ORDER_LIMIT) -> tuple[FiniteGroup, Subgroup]:
     """Realize a spec as a permutation group and its normal subgroup.
 
     Raises HypothesisError when a normal generator falls outside the group
     generated by the group generators.
     """
-    if isinstance(spec, MatrixGroupSpec):
-        gens = [matrix_to_permutation(m, spec.prime) for m in spec.generators]
-        normals = [matrix_to_permutation(m, spec.prime) for m in spec.normal_generators]
-        degree = spec.prime * spec.prime - 1
-    else:
-        gens = list(spec.generators)
-        normals = list(spec.normal_generators)
-        degree = spec.degree
-    G = generate_group(degree, gens, order_limit=order_limit)
+    G = generate_group(spec.degree, spec.generators, order_limit=order_limit)
     try:
-        N = subgroup_generated(G, normals)
+        N = subgroup_generated(G, spec.normal_generators)
     except ValueError as exc:
         raise HypothesisError(
             "a normal generator is not an element of the group") from exc

@@ -21,7 +21,7 @@ from cosetchar.chartable import (
 from cosetchar.corpus import corpus_specs
 from cosetchar.cyclotomic import Cyclotomic, _power_table, from_rational, root_of_unity
 from cosetchar.errors import InternalCheckError, ensure
-from cosetchar.groupio import MatrixGroupSpec, build_group
+from cosetchar.groupio import build_group, parse_group_spec
 from cosetchar.groups import (
     conjugacy_classes,
     generate_group,
@@ -157,7 +157,7 @@ def test_class_function_arithmetic():
     assert (sgn * sgn) == triv
     assert sgn.conjugate() == sgn
     assert sgn.scaled(Fraction(1, 2)).values[0] == Fraction(1, 2)
-    assert triv.value_at(0) == 1
+    assert triv.values[cls.class_of[0]] == 1
     other = ClassFunction(s3, cls, [0, 0, 0])
     assert (triv * other).values == other.values
     with pytest.raises(ValueError):
@@ -218,7 +218,7 @@ def certified_tables():
     for spec in corpus_specs():
         G, N = build_group(spec)
         out[spec.label] = (character_table(G), N)
-    gl2_5 = MatrixGroupSpec("GL2(5)", 5, ((1, 1, 0, 1), (1, 0, 1, 1), (2, 0, 0, 1)), ())
+    gl2_5 = parse_group_spec("prime 5\nmatgen 1 1 0 1\nmatgen 1 0 1 1\nmatgen 2 0 0 1\n")
     out["GL2(5)"] = (character_table(build_group(gl2_5)[0]), None)
     s6 = generate_group(6, [from_cycles(6, (0, 1)),
                             from_cycles(6, (0, 1, 2, 3, 4, 5))])
@@ -324,6 +324,6 @@ def test_restriction_norm_matches_member_sum(certified_tables):
         for row in table.rows:
             total = from_rational(0)
             for n in N.members:
-                v = row.value_at(n)
+                v = row.values[table.classes.class_of[n]]
                 total = total + v * v.conjugate()
             assert restriction_norm(row, N) == total / N.order, name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cosetchar.cyclotomic import (
     Cyclotomic,
-    conjugate,
     cyclotomic_polynomial,
     euler_phi,
     from_rational,
@@ -47,7 +46,7 @@ def test_phi_values():
 def test_basic_identities():
     i = root_of_unity(4)
     assert i * i == -1
-    assert conjugate(i) == -i
+    assert i.conjugate() == -i
     w = root_of_unity(3)
     assert 1 + w + w * w == 0
     assert root_of_unity(1, 0) == 1

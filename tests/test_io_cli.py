@@ -13,7 +13,6 @@ from cosetchar.cli import main
 from cosetchar.errors import HypothesisError, ParseError
 from cosetchar.groupio import (
     GroupSpec,
-    MatrixGroupSpec,
     build_group,
     complex_to_json,
     matrix_to_permutation,
@@ -43,10 +42,13 @@ def test_parse_permutation_spec():
 
 
 def test_parse_matrix_spec():
-    spec = parse_group_spec("prime 3\nmatgen 1 1 0 1\nmatnormal 1 1 0 1\n")
-    assert isinstance(spec, MatrixGroupSpec)
-    assert spec.prime == 3
-    assert spec.generators == ((1, 1, 0, 1),)
+    # a matrix spec becomes permutations of the 8 nonzero vectors of F_3^2,
+    # ordered (0,1), (0,2), (1,0), (1,1), (1,2), (2,0), (2,1), (2,2)
+    spec = parse_group_spec("prime 3\nmatgen 1 1 0 1\nmatnormal 4 1 0 1\n")
+    assert isinstance(spec, GroupSpec)
+    assert spec.degree == 8
+    assert spec.generators == ((3, 7, 2, 6, 1, 5, 0, 4),)
+    assert spec.normal_generators == spec.generators  # entries are read mod 3
 
 
 def test_parse_json_specs():
@@ -56,7 +58,8 @@ def test_parse_json_specs():
     assert isinstance(spec, GroupSpec) and spec.degree == 3
     mspec = parse_group_spec(
         '{"label": "M", "prime": 5, "generators": [[1, 1, 0, 1]]}')
-    assert isinstance(mspec, MatrixGroupSpec) and mspec.prime == 5
+    assert isinstance(mspec, GroupSpec) and mspec.degree == 24
+    assert mspec.generators == (matrix_to_permutation((1, 1, 0, 1), 5),)
     assert mspec.normal_generators == ()
 
 
@@ -75,6 +78,7 @@ def test_parse_json_specs():
     "matgen 1 0 0 1\n",                             # matgen before prime
     "degree 3\nprime 3\n",                          # mixed formats
     "prime 3\ngen 1 0 2\n",                         # mixed formats
+    "degree 3\ndegree 3\ngen 1 0 2\n",              # a second degree line
     "wibble 3\n",                                   # unknown keyword
     "label\n",                                      # empty label
     "{not json",
@@ -85,10 +89,36 @@ def test_parse_json_specs():
     '{"prime": 3, "generators": [7]}',
     '{"degree": 3, "generators": [[1,2,0]], "normal": [4]}',
     '{"degree": 3, "generators": ["120"]}',
+    '{"degree": true, "generators": [[0]]}',        # a JSON bool is no degree
+    '{"degree": 3, "prime": 3, "generators": [[1, 0, 0, 1]]}',  # mixed formats
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_group_spec(text)
+
+
+@pytest.mark.parametrize("text,json_text", [
+    ((FIXTURES / "f5.group").read_text(), (FIXTURES / "f5.json").read_text()),
+    ((FIXTURES / "gl2_3.matgroup").read_text(),
+     '{"label": "GL2(3)/SL2(3)", "prime": 3,'
+     ' "generators": [[1, 1, 0, 1], [1, 0, 1, 1], [2, 0, 0, 1]],'
+     ' "normal": [[1, 1, 0, 1], [1, 0, 1, 1]]}'),
+])
+def test_text_and_json_forms_parse_alike(text, json_text):
+    spec, json_spec = parse_group_spec(text), parse_group_spec(json_text)
+    assert json_spec == spec
+    (G, N), (H, M) = build_group(spec), build_group(json_spec)
+    assert G.elements == H.elements
+    assert N.members == M.members
+
+
+def test_json_errors_name_the_field():
+    with pytest.raises(ParseError, match=r"^gen 2: matrix .* is singular modulo 3$"):
+        parse_group_spec('{"prime": 3, "generators": [[1, 1, 0, 1], [1, 1, 2, 2]]}')
+    with pytest.raises(ParseError, match=r"^normal 1: "):
+        parse_group_spec('{"degree": 3, "generators": [[1, 2, 0]], "normal": [[0, 0, 1]]}')
+    with pytest.raises(ParseError, match=r"^line 4: "):
+        parse_group_spec("label S3\ndegree 3\ngen 1 2 0\ngen 1 2\n")
 
 
 def test_parse_theta_variants():
@@ -256,6 +286,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 2
     bad.write_text('{"degree": 3, "generators": [5]}')
     assert main(["analyze", str(bad)]) == 2
+    bad.write_text('{"degree": true, "generators": [[0]]}')
+    assert main(["table", str(bad)]) == 2
 
     nonnormal = tmp_path / "nn.group"
     nonnormal.write_text("degree 3\ngen 1 0 2\ngen 1 2 0\nnormal 1 0 2\n")
@@ -313,7 +345,9 @@ def test_cli_huge_prime_exits_two_at_once(tmp_path, spec):
 
 @pytest.mark.parametrize("p", [7, 139])
 def test_matrix_spec_accepts_small_primes(p):
-    assert parse_group_spec(f"prime {p}\nmatgen 1 1 0 1\n").prime == p
+    spec = parse_group_spec(f"prime {p}\nmatgen 1 1 0 1\n")
+    assert spec.degree == p * p - 1
+    assert spec.generators == (matrix_to_permutation((1, 1, 0, 1), p),)
 
 
 def test_no_assert_statements_in_the_package():

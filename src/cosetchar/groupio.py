@@ -92,7 +92,7 @@ def _json_records(text: str) -> list[Record]:
 def _parse_records(records: Iterable[Record]) -> GroupSpec:
     """The one spec parser: every check on a spec's keywords is made here."""
     label = "G"
-    kind: Optional[str] = None  # "degree" or "prime", whichever came first
+    kind: Optional[str] = None  # "degree" or "prime"; a spec has exactly one
     degree = prime = 0
     gens: list[tuple[int, ...]] = []
     normals: list[tuple[int, ...]] = []
@@ -135,6 +135,11 @@ def _parse_records(records: Iterable[Record]) -> GroupSpec:
                 except ParseError as exc:
                     raise ParseError(f"{where}: {exc}") from None
             else:
+                # the length test comes first: it bounds the sort below by the
+                # size of the input, not by the declared degree
+                if len(entries) != degree:
+                    raise ParseError(
+                        f"{where}: expected {degree} images, got {len(entries)}")
                 if sorted(entries) != list(range(degree)):
                     raise ParseError(
                         f"{where}: images are not a permutation of 0..{degree - 1}")

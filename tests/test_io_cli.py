@@ -343,6 +343,21 @@ def test_cli_huge_prime_exits_two_at_once(tmp_path, spec):
     assert "is too large" in proc.stderr
 
 
+@pytest.mark.parametrize("spec", [
+    "degree 1000000000000\ngen 1 0\n",
+    '{"degree": 1000000000000, "generators": [[1, 0]]}',
+])
+def test_cli_huge_degree_exits_two_at_once(tmp_path, spec):
+    # the image count is checked before anything of the declared degree's size is built
+    path = tmp_path / "big.group"
+    path.write_text(spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetchar", "analyze", str(path)],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "expected 1000000000000 images, got 2" in proc.stderr
+
+
 @pytest.mark.parametrize("p", [7, 139])
 def test_matrix_spec_accepts_small_primes(p):
     spec = parse_group_spec(f"prime {p}\nmatgen 1 1 0 1\n")

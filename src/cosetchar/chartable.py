@@ -101,6 +101,7 @@ class CharacterTable:
         self.degrees = tuple(int(r.values[0].as_rational()) for r in self.rows)
         self.exponent = lcm(*(group.element_order(r) for r in classes.representatives))
         self._lookup: dict | None = None
+        self._class_matrices: tuple | None = None
 
     @property
     def n_rows(self) -> int:
@@ -115,6 +116,26 @@ class CharacterTable:
             # integer keys hash and compare equal to the Fraction keys of row_key
             self._lookup = {tuple(map(tuple, c)): i for i, c in enumerate(self.coeffs.tolist())}
         return self._lookup.get(self.row_key(values))
+
+    def class_matrices(self) -> tuple[tuple[tuple[int, np.ndarray], ...], int]:
+        """The rows' values stacked per class, and a bound on their power basis.
+
+        Returns ((n_k, M_k) for each class k, B): `M_k[i, j]` is the
+        coefficient of zeta_(n_k)^j in `rows[i].values[k]`, n_k the class's
+        element order, and B the largest |coefficient| in the power tables
+        of every n_k.  Built on first use and kept on this table only.
+        """
+        if self._class_matrices is None:
+            mats = []
+            for k, rep in enumerate(self.classes.representatives):
+                n = self.group.element_order(rep)
+                ensure(all(row.values[k].order == n for row in self.rows),
+                       "a row value is not at its class's element order")
+                mats.append((n, np.array([[int(c) for c in row.values[k].coeffs]
+                                          for row in self.rows], dtype=np.int64)))
+            bound = max(_max_abs(np.array(_power_table(n))) for n in {n for n, _ in mats})
+            self._class_matrices = (tuple(mats), bound)
+        return self._class_matrices
 
     def __repr__(self):
         return f"<CharacterTable: {self.n_rows} rows, degrees {self.degrees}>"

@@ -381,15 +381,21 @@ def value_from_json(obj, exponent: Optional[int] = None) -> Cyclotomic:
 
     With `exponent` given, the order of the dict form must divide it.  The
     order sets the size of every later polynomial, so it is checked first.
+    Every number must be an int: bool is a subclass of int, and JSON true is
+    no number.
     """
-    if isinstance(obj, int):
+    if type(obj) is int:
         return from_rational(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(isinstance(x, int) for x in obj):
+    if _is_pair(obj):
         return from_rational(Fraction(obj[0], obj[1]))
-    if isinstance(obj, dict) and "order" in obj and "coeffs" in obj:
-        order = int(obj["order"])
+    if (isinstance(obj, dict) and type(obj.get("order")) is int
+            and isinstance(obj.get("coeffs"), list) and all(map(_is_pair, obj["coeffs"]))):
+        order = obj["order"]
         if exponent is not None and (order < 1 or exponent % order):
             raise ValueError(f"order {order} does not divide the group exponent {exponent}")
-        coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
-        return Cyclotomic(order, coeffs)
+        return Cyclotomic(order, [Fraction(num, den) for num, den in obj["coeffs"]])
     raise ValueError(f"cannot interpret {obj!r} as a cyclotomic value")
+
+
+def _is_pair(obj) -> bool:
+    return isinstance(obj, (list, tuple)) and len(obj) == 2 and all(type(x) is int for x in obj)

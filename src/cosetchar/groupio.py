@@ -181,8 +181,9 @@ def parse_theta(text: str, n_classes: Optional[int] = None,
         raise ParseError("character input needs exactly one of multiplicities or values")
     if has_m:
         mults = data["multiplicities"]
+        # bool is a subclass of int, and JSON true is no multiplicity
         if not isinstance(mults, list) or not all(
-                isinstance(m, int) and m >= 0 for m in mults):
+                type(m) is int and m >= 0 for m in mults):
             raise ParseError("multiplicities must be a list of nonnegative integers")
         if n_rows is not None and len(mults) != n_rows:
             raise ParseError(

@@ -18,13 +18,28 @@ choice of m-th roots, and the components must add up to Theta exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .chartable import ClassFunction, inner_product
 from .cosets import CosetAnalysis
 from .cyclotomic import Cyclotomic, from_rational, from_terms, root_of_unity
 from .errors import HypothesisError, ensure
+
+
+# The largest character degree theta(1) accepted.  Decomposing theta keeps one
+# entry per recovered root, up to theta(1) of them, so the degree bounds the
+# work and the memory of an inversion.
+DEGREE_LIMIT = 100_000
+
+
+def _check_degree(degree) -> None:
+    if degree > DEGREE_LIMIT:
+        raise ValueError(
+            f"character degree {degree} exceeds the limit of {DEGREE_LIMIT}")
 
 
 class Theta:
@@ -39,17 +54,31 @@ class Theta:
 
     @classmethod
     def from_multiplicities(cls, table, multiplicities: Sequence[int]) -> "Theta":
-        """The character with the given multiplicity of each table row."""
+        """The character with the given multiplicity of each table row.
+
+        Its value at class k has the coefficients m @ M_k, one integer
+        product against the table's class matrix, at the class's element
+        order n_k."""
         mults = tuple(int(m) for m in multiplicities)
         if len(mults) != table.n_rows:
             raise ValueError(
                 f"expected {table.n_rows} multiplicities, got {len(mults)}")
         if any(m < 0 for m in mults):
             raise ValueError("multiplicities must be nonnegative")
-        values = [from_rational(0)] * table.classes.n_classes
-        for m, row in zip(mults, table.rows):
-            if m:
-                values = [v + m * x for v, x in zip(values, row.values)]
+        degree = sum(m * d for m, d in zip(mults, table.degrees))
+        _check_degree(degree)
+        if not degree:
+            values = [from_rational(0)] * table.classes.n_classes
+        else:
+            mats, bound = table.class_matrices()
+            # theta's value at class k is a sum of theta(1) roots of unity of
+            # order n_k, so every coefficient, and every partial sum of
+            # m @ M_k in any order, is at most theta(1) * max|_power_table(n_k)|
+            # in absolute value, certified below 2**63 here
+            ensure(degree * bound < 2**63, "character coefficients overflow int64")
+            m = np.array(mults, dtype=np.int64)
+            values = [Cyclotomic._raw(n, tuple(map(Fraction, (m @ M).tolist())))
+                      for n, M in mats]
         cf = ClassFunction(table.group, table.classes, values)
         return cls(cf, mults)
 
@@ -57,10 +86,14 @@ class Theta:
     def from_values(cls, table, values) -> "Theta":
         """Validate an explicit value vector as a character.
 
-        Raises HypothesisError unless every multiplicity, computed by exact
-        inner products against the table, is a nonnegative integer.
+        Raises ValueError when the degree exceeds DEGREE_LIMIT, checked
+        first, and HypothesisError unless every multiplicity, computed by
+        exact inner products against the table, is a nonnegative integer.
         """
         cf = ClassFunction(table.group, table.classes, values)
+        degree = cf.values[0]
+        if degree.is_rational():
+            _check_degree(degree.as_rational())
         mults = []
         for row in table.rows:
             ip = inner_product(cf, row)

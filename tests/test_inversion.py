@@ -2,17 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetchar.chartable import ClassFunction
+from cosetchar.corpus import analysis_for, corpus_specs
 from cosetchar.cosets import CosetAnalysis
-from cosetchar.cyclotomic import from_rational, root_of_unity
+from cosetchar.cyclotomic import from_rational, root_of_unity, value_to_json
 from cosetchar.errors import HypothesisError, InternalCheckError, ensure
 from cosetchar.groups import generate_group, subgroup_generated
 from cosetchar.inversion import (
+    DEGREE_LIMIT,
     PsiComponent,
     Theta,
     choose_roots,
@@ -40,14 +43,20 @@ def q8_c4_analysis():
     return CosetAnalysis(G, subgroup_generated(G, [i]))
 
 
+def theta_oracle(table, mults):
+    """The multiplicity-weighted sum of the table's rows, one Fraction
+    cyclotomic product and sum per row and class."""
+    values = [from_rational(0)] * table.classes.n_classes
+    for m, row in zip(mults, table.rows):
+        if m:
+            values = [v + m * x for v, x in zip(values, row.values)]
+    return ClassFunction(table.group, table.classes, values)
+
+
 def orbit_component_oracle(an, mults, orbit):
     """The expected component: the multiplicity-weighted sum of the orbit's rows."""
-    values = [from_rational(0)] * an.classes.n_classes
-    for row in orbit.member_rows:
-        if mults[row]:
-            values = [v + mults[row] * x
-                      for v, x in zip(values, an.table.rows[row].values)]
-    return ClassFunction(an.group, an.classes, values)
+    return theta_oracle(an.table, [m if r in orbit.member_rows else 0
+                                   for r, m in enumerate(mults)])
 
 
 # -- the Newton route, kept as an oracle for the Fourier inversion --------------
@@ -384,6 +393,55 @@ def test_round_trip_s3_property(mults):
         assert all(m == 0 for m in mults)
     else:
         assert total == theta.class_function
+
+
+# -- building theta from multiplicities ----------------------------------------
+
+@lru_cache(maxsize=None)
+def corpus_table(index):
+    return analysis_for(corpus_specs()[index]).table
+
+
+@st.composite
+def table_and_multiplicities(draw):
+    """A corpus pair's table (GL2(3)/SL2(3) among them) and multiplicities:
+    each 0..3, all zero, or one row's as large as the degree limit allows."""
+    table = corpus_table(draw(st.integers(0, len(corpus_specs()) - 1)))
+    rows = table.n_rows
+    kind = draw(st.sampled_from(["small", "zero", "near_cap"]))
+    if kind == "small":
+        mults = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    else:
+        mults = [0] * rows
+        if kind == "near_cap":
+            row = draw(st.integers(0, rows - 1))
+            mults[row] = DEGREE_LIMIT // table.degrees[row] - draw(st.integers(0, 2))
+    return table, tuple(mults)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_and_multiplicities())
+def test_theta_from_multiplicities_matches_fraction_oracle(case):
+    table, mults = case
+    theta = Theta.from_multiplicities(table, mults)
+    want = theta_oracle(table, mults)
+    assert theta.class_function == want
+    # the same order and coefficients at every class, so the same JSON
+    assert [value_to_json(v) for v in theta.values] == [value_to_json(v) for v in want.values]
+    assert theta.degree == sum(m * d for m, d in zip(mults, table.degrees))
+    assert Theta.from_values(table, theta.values).multiplicities == mults
+
+
+def test_theta_degree_limit():
+    table = corpus_table(0)  # C6/C3: six linear characters
+    at_limit = (DEGREE_LIMIT - 1, 1, 0, 0, 0, 0)
+    assert Theta.from_multiplicities(table, at_limit).degree == DEGREE_LIMIT
+    over = (DEGREE_LIMIT, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=f"exceeds the limit of {DEGREE_LIMIT}"):
+        Theta.from_multiplicities(table, over)
+    # checked on the given degree before any inner product
+    with pytest.raises(ValueError, match=f"exceeds the limit of {DEGREE_LIMIT}"):
+        Theta.from_values(table, [DEGREE_LIMIT + 1] + [0] * 5)
 
 
 # -- validation and failure modes ----------------------------------------------

@@ -142,6 +142,11 @@ def test_parse_theta_variants():
     ('{"values": [[1, 0]]}', {}),
     ('{"values": [{"order": 100000000, "coeffs": []}]}', {"exponent": 20}),
     ('{"values": [{"order": 0, "coeffs": []}]}', {"exponent": 20}),
+    ('{"multiplicities": [true, false]}', {}),
+    ('{"values": [true]}', {}),
+    ('{"values": [[true, 1]]}', {}),
+    ('{"values": [{"order": true, "coeffs": [[1, 1]]}]}', {}),
+    ('{"values": [{"order": 2, "coeffs": [[1, true]]}]}', {}),
 ])
 def test_parse_theta_rejects(text, kwargs):
     with pytest.raises(ParseError):
@@ -300,7 +305,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["invert", fixture("f5.group"), "--multiplicities", "a,b,c,d,e"]) == 2
     assert main(["analyze", str(tmp_path / "missing.group")]) == 2
     assert main(["analyze", fixture("gl2_3.matgroup"), "--order-limit", "10"]) == 2
+
+    # bool is a subclass of int, and JSON true is no multiplicity or value
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"multiplicities": [true, false, false, false, true]}')
+    assert main(["invert", fixture("f5.group"), "--theta", str(theta)]) == 2
+    theta.write_text('{"values": [true, 1, 1, 1, 1]}')
+    assert main(["invert", fixture("f5.group"), "--theta", str(theta)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("given", [
+    ["--multiplicities", "100000000000000000000000,0,0,0,1"],
+    ["--multiplicities", "1000000000,0,0,0,0"],
+    ["--theta", '{"values": [1000000000, 0, 0, 0, 0]}'],
+])
+def test_cli_huge_character_degree_exits_two_at_once(tmp_path, given):
+    # each recovered root is kept, so a degree of 10^23 used to exhaust memory
+    if given[0] == "--theta":
+        path = tmp_path / "theta.json"
+        path.write_text(given[1])
+        given = ["--theta", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetchar", "invert", fixture("f5.group"), *given],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert "exceeds the limit of 100000" in proc.stderr
 
 
 def test_cli_bad_theta_values_exit_three(tmp_path, capsys):

@@ -11,13 +11,13 @@ and output, and an integer array of power-basis coefficients at the group
 exponent e, which orders the rows and carries the certificate.
 
 Every table is certified on construction: degrees divide the group order,
-the squared degrees sum to it, values are algebraic integers, and row and
-column orthogonality hold exactly for the hermitian inner product.  The
-orthogonality sums are integer convolutions, one matrix product per
-coefficient shift, reduced mod the e-th cyclotomic polynomial once per
-sum.  They run in float64 only when a bound computed from the data proves
-every partial sum an integer below 2**53, and on Python integers
-otherwise, so they are exact either way.
+values are algebraic integers, and the rows of the square table are
+orthogonal exactly for the hermitian inner product, which makes the columns
+orthogonal too (see `_certify_table`).  The orthogonality sums are integer
+convolutions, one matrix product per coefficient shift, reduced mod the
+e-th cyclotomic polynomial once per sum.  They run in float64 only when a
+bound computed from the data proves every partial sum an integer below
+2**53, and on Python integers otherwise, so they are exact either way.
 """
 
 from __future__ import annotations
@@ -60,18 +60,9 @@ class ClassFunction:
         return ClassFunction(self.group, self.classes,
                              [a + b for a, b in zip(self.values, other.values)])
 
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_domain(other)
-        return ClassFunction(self.group, self.classes,
-                             [a * b for a, b in zip(self.values, other.values)])
-
     def scaled(self, factor) -> "ClassFunction":
         return ClassFunction(self.group, self.classes,
                              [v * factor for v in self.values])
-
-    def conjugate(self) -> "ClassFunction":
-        return ClassFunction(self.group, self.classes,
-                             [v.conjugate() for v in self.values])
 
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.group is other.group
@@ -179,12 +170,10 @@ def restrict(chi: ClassFunction, sub_group: FiniteGroup,
 def _find_prime(group_order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) with p > 2*isqrt(group_order)."""
     start = 2 * isqrt(group_order) + 1
-    p = start + ((1 - start) % exponent)
-    while p <= PRIME_SEARCH_BOUND:
-        if p > 1 and _is_prime(p) and group_order % p != 0:
-            return p
-        p += exponent
-    raise RuntimeError(f"no usable prime below {PRIME_SEARCH_BOUND}")
+    candidates = range(start + ((1 - start) % exponent), PRIME_SEARCH_BOUND + 1, exponent)
+    p = next((p for p in candidates if p > 1 and _is_prime(p) and group_order % p), None)
+    ensure(p is not None, f"no usable prime below {PRIME_SEARCH_BOUND}")
+    return p
 
 
 def _primitive_root(p: int) -> int:
@@ -201,10 +190,10 @@ def _primitive_root(p: int) -> int:
         d += 1
     if m > 1:
         factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise RuntimeError(f"no primitive root modulo {p}")
+    g = next((g for g in range(2, p)
+              if all(pow(g, (p - 1) // q, p) != 1 for q in factors)), None)
+    ensure(g is not None, f"no primitive root modulo {p}")
+    return g
 
 
 def _rref_mod(rows: list[list[int]], p: int, width: int) -> tuple[list[list[int]], list[int]]:
@@ -472,8 +461,6 @@ def _hermitian_gram(X: np.ndarray, weights: Sequence[int], exponent: int) -> np.
 def _certify_table(table: CharacterTable) -> None:
     G, classes = table.group, table.classes
     r = table.n_rows
-    ensure(sum(d * d for d in table.degrees) == G.order,
-           "squared degrees do not sum to the group order")
     for d in table.degrees:
         ensure(d >= 1 and G.order % d == 0, "degree does not divide the group order")
     for row in table.rows:
@@ -482,14 +469,14 @@ def _certify_table(table: CharacterTable) -> None:
     X = table.coeffs
     ensure(np.issubdtype(X.dtype, np.integer) and X.shape[:2] == (r, r),
            "coefficient array is not an integer rows x classes array")
+    # Row orthogonality, X D X* = |G| I with D the diagonal of class sizes,
+    # also certifies the columns: X is square, so D X* / |G| is its two-sided
+    # inverse and X* X = |G| D^-1, which is column orthogonality.  At the
+    # identity class that reads sum chi(1)^2 = |G|.
     want = np.zeros((r, r, X.shape[2]), dtype=np.int64)
     want[:, :, 0] = np.diag([G.order] * r)
     ensure(np.array_equal(_hermitian_gram(X, classes.sizes, table.exponent), want),
            "row orthogonality failed")
-    want[:, :, 0] = np.diag([G.order // s for s in classes.sizes])
-    ensure(np.array_equal(_hermitian_gram(X.transpose(1, 0, 2), [1] * r, table.exponent),
-                          want),
-           "column orthogonality failed")
 
 
 def restriction_norm(chi: ClassFunction, normal: Subgroup) -> int:

@@ -164,19 +164,6 @@ class Cyclotomic:
             order, _reduce_terms(order, ((i * step, c) for i, c in enumerate(self.coeffs)))
         )
 
-    def demoted_to(self, order: int) -> Optional["Cyclotomic"]:
-        """The same value in the order-`order` field, or None if it is not there."""
-        if order == self.order:
-            return self
-        n = lcm(self.order, order)
-        target = [(i, c) for i, c in enumerate(self.promoted(n).coeffs) if c]
-        u = [sum((row[i] * c for i, c in target), Fraction(0))
-             for row in _demotion_matrix(order, n)]
-        d = euler_phi(order)
-        if any(u[d:]):
-            return None
-        return Cyclotomic._raw(order, tuple(u[:d]))
-
     def coeff_key(self, order: int) -> tuple[Fraction, ...]:
         """Hashable coefficient tuple at the given order (for dict keys)."""
         return self.promoted(order).coeffs
@@ -315,32 +302,6 @@ class Cyclotomic:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
-
-
-@lru_cache(maxsize=None)
-def _demotion_matrix(n: int, big: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row-reduction transform E with E * P = [I; 0] for the promotion matrix P.
-
-    P has the promoted power-basis vectors of order n (as elements of the
-    order-`big` field) for columns; it has full column rank, so applying E to
-    a coefficient vector solves membership in the smaller field exactly.
-    """
-    ensure(big % n == 0, "demotion target order does not divide the field order")
-    dn, db = euler_phi(n), euler_phi(big)
-    step = big // n
-    cols = [_reduce_terms(big, [(j * step, Fraction(1))]) for j in range(dn)]
-    rows = [[cols[j][i] for j in range(dn)] + [Fraction(int(i == k)) for k in range(db)]
-            for i in range(db)]
-    for col in range(dn):
-        pivot = next(r for r in range(col, db) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(db):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return tuple(tuple(row[dn:]) for row in rows)
 
 
 def _coerce(value) -> Optional[Cyclotomic]:

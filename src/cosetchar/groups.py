@@ -192,9 +192,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.member_set
-
     def __repr__(self):
         return f"<Subgroup of order {self.order}>"
 

@@ -8,11 +8,11 @@ over the coset q^(d*m)N (m the stabilizer size) yields the d-th power sum
 p_d of a multiset of l-th roots of unity, l = |Q|/m.  The coset, hence
 p_d, repeats with period l, so the multiplicity of zeta_l^t is the exact
 discrete Fourier coefficient c_t = (1/l) sum_(d<l) p_d zeta_l^(-d*t).
-Every step is certified: power sums must land in the small cyclotomic field
-of the quotient, every c_t must be a nonnegative integer, the root count
-must match the d = 0 sum and not exceed Theta(1)/rho(1), each chosen m-th
-root must recover its root, the reconstruction must not depend on the
-choice of m-th roots, and the components must add up to Theta exactly.
+Every step is certified: every c_t must be a nonnegative integer, which
+puts every power sum in the quotient's cyclotomic field, the root count must
+match the d = 0 sum and not exceed Theta(1)/rho(1), each chosen m-th root
+must recover its root, the reconstruction must not depend on the choice of
+m-th roots, and the components must add up to Theta exactly.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class PsiComponent:
 def psi_power_value(analysis: CosetAnalysis, theta: ClassFunction,
                     orbit_index: int, d: int, coset: int) -> Cyclotomic:
     """The d-th power sum for one orbit: the conj(rho)-weighted average of
-    theta over the coset (q^(d*m))N, demoted to the quotient's field."""
+    theta over the coset (q^(d*m))N, at the lcm order of its terms."""
     rec = analysis.orbits[orbit_index]
     rho = analysis.table.rows[rec.representative_row]
     m = len(rec.stabilizer)
@@ -161,13 +161,7 @@ def psi_power_value(analysis: CosetAnalysis, theta: ClassFunction,
             if a:
                 terms.extend((j * st - i * sr, size * a * b)
                              for j, b in enumerate(t.coeffs) if b)
-    value = from_terms(order, terms) / (analysis.normal.order * m)
-    small = value.demoted_to(Q.size)
-    if small is None:
-        raise HypothesisError(
-            "a power sum does not lie in the cyclotomic field of the quotient; "
-            "the input is not a character of the group")
-    return small
+    return from_terms(order, terms) / (analysis.normal.order * m)
 
 
 def power_sums_to_multiset(power_sums: Sequence[Cyclotomic]) -> tuple[int, ...]:
@@ -178,6 +172,11 @@ def power_sums_to_multiset(power_sums: Sequence[Cyclotomic]) -> tuple[int, ...]:
     of order l: c_t = (1/l) sum_d p_d zeta_l^(-d*t).  This inverts the sums
     of any l-periodic multiset exactly.  Raises HypothesisError unless every
     c_t is a nonnegative integer.
+
+    That check also certifies the field of the sums.  The transform is
+    invertible, p_d = sum_t c_t zeta_l^(d*t) for every d < l, so integer
+    c_t put every p_d in Z[zeta_l], inside Q(zeta_|Q|) since l divides
+    |Q|.  Sums that leave that field give some c_t that is not rational.
     """
     ell = len(power_sums)
     order = lcm(ell, *(p.order for p in power_sums))

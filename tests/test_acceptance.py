@@ -206,7 +206,8 @@ def test_criterion_7_orthonormal_family():
             for oi in an.orbits_nonzero(c):
                 rec = an.orbits[oi]
                 rho = an.table.rows[rec.representative_row]
-                members.append((indicator * rho, rec.length))
+                product = [a * b for a, b in zip(indicator.values, rho.values)]
+                members.append((ClassFunction(an.group, an.classes, product), rec.length))
         assert len(members) == an.classes.n_classes
         # scaled by sqrt(length), the family is orthonormal; exactly:
         # <f_i, f_j> must be 0 off the diagonal and 1/length on it

@@ -11,7 +11,7 @@ from cosetchar.cosets import (
     lift_to_group,
 )
 from cosetchar.cyclotomic import from_rational, root_of_unity
-from cosetchar.errors import HypothesisError
+from cosetchar.errors import HypothesisError, InternalCheckError
 from cosetchar.groups import (
     generate_group,
     quotient,
@@ -68,6 +68,32 @@ def test_dual_group_c4_has_order_four_values():
     values_at_gen = [ch.values[gen] for ch in an.dual_chars]
     for want in (from_rational(1), from_rational(-1), i4, -i4):
         assert sum(1 for v in values_at_gen if v == want) == 1
+
+
+def test_dual_group_rejects_relabelled_cosets():
+    # swapping the exponents of g and g^2 in C4 gives value vectors that are
+    # pairwise distinct and closed under products, but not homomorphisms
+    G = generate_group(4, [(1, 2, 3, 0)])
+    Q = quotient(G, subgroup_generated(G, []))
+    g = Q.cyclic_factors[0][0]
+    g2 = Q.mult(g, g)
+    exps = list(Q.coset_exponents)
+    exps[g], exps[g2] = exps[g2], exps[g]
+    Q.coset_exponents = tuple(exps)
+    with pytest.raises(InternalCheckError, match="homomorphism"):
+        dual_group(Q)
+
+
+def test_dual_group_c6_by_c6_is_certified_whole():
+    G = generate_group(12, [(1, 2, 3, 4, 5, 0, 6, 7, 8, 9, 10, 11),
+                            (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 6)])
+    Q = quotient(G, subgroup_generated(G, []))
+    assert Q.size == 36
+    chars = dual_group(Q)
+    assert len(chars) == 36 and chars[0].is_trivial
+    # a homomorphism is fixed by its values on the generators; all 36 occur
+    gens = [g for g, _ in Q.cyclic_factors]
+    assert len({tuple(ch.values[g].coeff_key(6) for g in gens) for ch in chars}) == 36
 
 
 def test_lift_is_class_function_with_quotient_values():

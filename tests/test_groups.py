@@ -137,7 +137,7 @@ def test_subgroups_and_normality():
     assert flip.order == 2
     # oracle: conjugating the transposition by a 3-cycle leaves the subgroup
     conj = (0, 2, 1)  # (1 2) = (0 1 2)(0 1)(0 1 2)^-1
-    assert s3.index_of(conj) not in flip
+    assert s3.index_of(conj) not in flip.member_set
     assert not is_normal(s3, flip)
     triv = subgroup_generated(s3, [])
     assert triv.order == 1 and is_normal(s3, triv)

@@ -288,11 +288,16 @@ def test_psi_power_value_matches_element_sum():
             assert got == total / (an.normal.order * m)
 
 
-def test_psi_power_value_demotes_to_quotient_field():
+def test_power_sums_outside_the_quotient_field_are_no_character():
+    # zeta_5 + zeta_5^4 on the 5-cycles puts the power sums outside Q(zeta_4),
+    # so some Fourier coefficient is not rational and decompose rejects it
     an = f5_analysis()
-    theta = Theta.from_multiplicities(an.table, (2, 1, 0, 1, 1))
-    v = psi_power_value(an, theta.class_function, 0, 1, an.quotient.generator)
-    assert v.order in (1, 2, 4)
+    five = next(k for k, rep in enumerate(an.classes.representatives)
+                if an.group.element_order(rep) == 5)
+    values = [from_rational(0)] * an.classes.n_classes
+    values[five] = root_of_unity(5) + root_of_unity(5, 4)
+    with pytest.raises(HypothesisError):
+        decompose(an, ClassFunction(an.group, an.classes, values))
 
 
 # -- full decompositions -------------------------------------------------------

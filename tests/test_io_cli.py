@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cosetchar import chartable
 from cosetchar.cli import main
 from cosetchar.errors import HypothesisError, ParseError
 from cosetchar.groupio import (
@@ -402,6 +403,12 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_failed_prime_search_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(chartable, "PRIME_SEARCH_BOUND", 10)
+    assert main(["table", fixture("gl2_3.matgroup")]) == 4
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def test_cli_klein_quotient_invert_exit_three(capsys):

@@ -6,29 +6,31 @@ eigenvalues come from each restricted matrix's characteristic polynomial,
 its roots found by evaluation over F_p at every element of the field.  The
 table is then lifted to exact cyclotomic values through discrete Fourier
 sums of the modular character values on element powers.  The lifted
-multiplicities give two views of one table: `Cyclotomic` rows for callers
-and output, and an integer array of power-basis coefficients at the group
-exponent e, which orders the rows and carries the certificate.
+multiplicities, one integer array per class, are the table's one stored
+source: its rows, its integer power-basis coefficients at the group exponent
+e, its degrees and its class matrices are all derived from them.
 
-Every table is certified on construction: degrees divide the group order,
-values are algebraic integers, and the rows of the square table are
-orthogonal exactly for the hermitian inner product, which makes the columns
-orthogonal too (see `_certify_table`).  The orthogonality sums are integer
-convolutions, one matrix product per coefficient shift, reduced mod the
-e-th cyclotomic polynomial once per sum.  They run in float64 only when a
-bound computed from the data proves every partial sum an integer below
-2**53, and on Python integers otherwise, so they are exact either way.
+Every table is certified on construction: the multiplicities are integers,
+which makes every value an algebraic integer, degrees divide the group
+order, and the rows of the square table are orthogonal exactly for the
+hermitian inner product, which makes the columns orthogonal too (see
+`_certify_table`).  The orthogonality sums are integer convolutions, one
+matrix product per coefficient shift, reduced mod the e-th cyclotomic
+polynomial once per sum.  They run in float64 only when a bound computed
+from the data proves every partial sum an integer below 2**53, and on
+Python integers otherwise, so they are exact either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _is_prime, _power_table, from_rational, from_terms
+from .cyclotomic import Cyclotomic, _is_prime, _power_table, from_rational
 from .errors import ensure
 from .groups import ConjugacyClasses, FiniteGroup, Subgroup, conjugacy_classes
 
@@ -68,8 +70,6 @@ class ClassFunction:
         return (isinstance(other, ClassFunction) and self.group is other.group
                 and all(a == b for a, b in zip(self.values, other.values)))
 
-    __hash__ = None
-
     def __repr__(self):
         return f"ClassFunction({[str(v) for v in self.values]})"
 
@@ -77,22 +77,40 @@ class ClassFunction:
 class CharacterTable:
     """The irreducible characters of a group, in a canonical row order.
 
-    Rows are sorted by degree, then by descending lexicographic order of
-    their coefficient vectors at the group exponent, which puts the
-    all-ones trivial character first.  `coeffs[i, k]` holds the integer
-    power-basis coefficients of `rows[i].values[k]` at the exponent.
+    The one stored source is `mults`: per class k, the r x n_k integer array
+    whose entry [i, j] counts zeta_(n_k)^j among the eigenvalues of the
+    class's representative, of order n_k, in row i's representation.  Every
+    other view is derived from it here, once: `coeffs[i, k]`, row i's value
+    on class k in the power basis at the group exponent; the row order, by
+    degree and then by descending `coeffs`, which puts the trivial character
+    first; `degrees`, the identity-class column; `class_matrices`, (n_k, M_k)
+    with M_k = mults[k] @ the power table of n_k, and `class_matrix_bound`,
+    the largest |entry| of those tables; and `rows`, whose value on class k
+    is row i of M_k.  That is the arithmetic of `Theta.from_multiplicities`,
+    so row i is the character of the unit multiplicity vector e_i.
     """
 
     def __init__(self, group: FiniteGroup, classes: ConjugacyClasses,
-                 rows: Sequence[ClassFunction], coeffs: np.ndarray):
+                 mults: Sequence[np.ndarray]):
         self.group = group
         self.classes = classes
-        self.rows = tuple(rows)
-        self.coeffs = coeffs
-        self.degrees = tuple(int(r.values[0].as_rational()) for r in self.rows)
-        self.exponent = lcm(*(group.element_order(r) for r in classes.representatives))
-        self._lookup: dict | None = None
-        self._class_matrices: tuple | None = None
+        orders = [group.element_order(rep) for rep in classes.representatives]
+        e = self.exponent = lcm(*orders)
+        powers = np.array(_power_table(e), dtype=np.int64)
+        coeffs = np.stack([m @ powers[::e // n] for m, n in zip(mults, orders)], axis=1)
+        order = sorted(range(len(coeffs)),
+                       key=lambda i: (coeffs[i, 0, 0], (-coeffs[i]).ravel().tolist()))
+        self.mults = tuple(m[order] for m in mults)
+        self.coeffs = coeffs[order]
+        self.degrees = tuple(self.mults[0][:, 0].tolist())
+        tables = {n: np.array(_power_table(n), dtype=np.int64) for n in set(orders)}
+        self.class_matrices = tuple((n, m @ tables[n]) for n, m in zip(orders, self.mults))
+        self.class_matrix_bound = max(_max_abs(t) for t in tables.values())
+        columns = [[Cyclotomic._raw(n, tuple(map(Fraction, c))) for c in M.tolist()]
+                   for n, M in self.class_matrices]
+        self.rows = tuple(ClassFunction(group, classes, values) for values in zip(*columns))
+        # integer keys hash and compare equal to the Fraction keys of row_key
+        self._lookup = {tuple(map(tuple, c)): i for i, c in enumerate(self.coeffs.tolist())}
 
     @property
     def n_rows(self) -> int:
@@ -103,30 +121,7 @@ class CharacterTable:
 
     def find_row(self, values: Iterable[Cyclotomic]) -> Optional[int]:
         """Index of the row with exactly these values, or None."""
-        if self._lookup is None:
-            # integer keys hash and compare equal to the Fraction keys of row_key
-            self._lookup = {tuple(map(tuple, c)): i for i, c in enumerate(self.coeffs.tolist())}
         return self._lookup.get(self.row_key(values))
-
-    def class_matrices(self) -> tuple[tuple[tuple[int, np.ndarray], ...], int]:
-        """The rows' values stacked per class, and a bound on their power basis.
-
-        Returns ((n_k, M_k) for each class k, B): `M_k[i, j]` is the
-        coefficient of zeta_(n_k)^j in `rows[i].values[k]`, n_k the class's
-        element order, and B the largest |coefficient| in the power tables
-        of every n_k.  Built on first use and kept on this table only.
-        """
-        if self._class_matrices is None:
-            mats = []
-            for k, rep in enumerate(self.classes.representatives):
-                n = self.group.element_order(rep)
-                ensure(all(row.values[k].order == n for row in self.rows),
-                       "a row value is not at its class's element order")
-                mats.append((n, np.array([[int(c) for c in row.values[k].coeffs]
-                                          for row in self.rows], dtype=np.int64)))
-            bound = max(_max_abs(np.array(_power_table(n))) for n in {n for n, _ in mats})
-            self._class_matrices = (tuple(mats), bound)
-        return self._class_matrices
 
     def __repr__(self):
         return f"<CharacterTable: {self.n_rows} rows, degrees {self.degrees}>"
@@ -393,25 +388,8 @@ def character_table(G: FiniteGroup, classes: ConjugacyClasses | None = None) -> 
     xvals = np.array([[d * w[k] * size_inv[k] % p for k in range(r)]
                       for d, w in zip(degrees, omegas)], dtype=np.int64)
     theta = pow(_primitive_root(p), (p - 1) // exponent, p)
-
-    powers = np.array(_power_table(exponent), dtype=np.int64)
-    # multiplicities are nonnegative and sum to the degree, so this bounds
-    # every partial sum of the coefficient products below
-    ensure(max(degrees) * int(np.abs(powers).max()) < 2**63,
-           "character coefficients overflow int64")
-    coeffs = np.zeros((r, r, powers.shape[1]), dtype=np.int64)
-    values: list[list[Cyclotomic]] = [[] for _ in range(r)]
-    degree_array = np.array(degrees)
-    for k in range(r):
-        mults = _lift_class(G, classes, k, xvals, degree_array, theta, exponent, p)
-        n = mults.shape[1]
-        coeffs[:, k] = mults @ powers[::exponent // n]
-        for i, row in enumerate(mults.tolist()):
-            values[i].append(from_terms(n, ((j, m) for j, m in enumerate(row) if m)))
-
-    order = sorted(range(r), key=lambda i: (degrees[i], (-coeffs[i]).ravel().tolist()))
-    table = CharacterTable(G, classes, [ClassFunction(G, classes, values[i]) for i in order],
-                           coeffs[order])
+    table = CharacterTable(G, classes, [_lift_class(G, classes, k, xvals, np.array(degrees),
+                                                    theta, exponent, p) for k in range(r)])
     _certify_table(table)
     return table
 
@@ -460,19 +438,27 @@ def _hermitian_gram(X: np.ndarray, weights: Sequence[int], exponent: int) -> np.
 
 def _certify_table(table: CharacterTable) -> None:
     G, classes = table.group, table.classes
-    r = table.n_rows
+    r = classes.n_classes
+    # Every view of the table is derived from `mults`, so this certifies them
+    # all.  Each value is sum_j mults[k][i, j] zeta_(n_k)^j, an integer
+    # combination of roots of unity and hence an algebraic integer.
+    ensure(len(table.mults) == r and all(
+        np.issubdtype(m.dtype, np.integer) and m.shape == (r, G.element_order(rep))
+        for m, rep in zip(table.mults, classes.representatives)),
+        "multiplicities are not an integer rows x n_k array per class")
+    # every partial sum of the derived int64 products, mults[k] against a
+    # power table, is at most a row sum of |mults[k]| times the table's
+    # largest |entry|; for a lifted table the row sums are the degrees
+    bound = max(_max_abs(np.array(_power_table(table.exponent))), table.class_matrix_bound)
+    ensure(max(_max_abs(np.abs(m).sum(axis=1)) for m in table.mults) * bound < 2**63,
+           "character coefficients overflow int64")
     for d in table.degrees:
         ensure(d >= 1 and G.order % d == 0, "degree does not divide the group order")
-    for row in table.rows:
-        ensure(all(v.is_integral() for v in row.values),
-               "character value is not an algebraic integer")
-    X = table.coeffs
-    ensure(np.issubdtype(X.dtype, np.integer) and X.shape[:2] == (r, r),
-           "coefficient array is not an integer rows x classes array")
     # Row orthogonality, X D X* = |G| I with D the diagonal of class sizes,
     # also certifies the columns: X is square, so D X* / |G| is its two-sided
     # inverse and X* X = |G| D^-1, which is column orthogonality.  At the
     # identity class that reads sum chi(1)^2 = |G|.
+    X = table.coeffs
     want = np.zeros((r, r, X.shape[2]), dtype=np.int64)
     want[:, :, 0] = np.diag([G.order] * r)
     ensure(np.array_equal(_hermitian_gram(X, classes.sizes, table.exponent), want),

@@ -254,10 +254,6 @@ class Cyclotomic:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def is_integral(self) -> bool:
-        """True when all power-basis coefficients are integers."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def as_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.order)
         total = 0j

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import HypothesisError, ensure
 
@@ -217,14 +217,15 @@ def subgroup_generated(G: FiniteGroup, elems: Iterable[Union[int, Sequence[int]]
     return Subgroup(G, closure)
 
 
+def normality_witness(G: FiniteGroup, H: Subgroup) -> Optional[tuple[int, int]]:
+    """A generator g of G and a member h of H with g*h*g^-1 outside H, or None."""
+    return next(((g, h) for g in G.generators for h in H.members
+                 if G.mul(G.mul(g, h), G.inv(g)) not in H.member_set), None)
+
+
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """Whether H is stable under conjugation by the generators of G."""
-    for g in G.generators:
-        gi = G.inv(g)
-        for h in H.members:
-            if G.mul(G.mul(g, h), gi) not in H.member_set:
-                return False
-    return True
+    return normality_witness(G, H) is None
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
@@ -330,7 +331,9 @@ class AbelianQuotient:
         for a in range(size):
             for b in range(a):
                 if table[a][b] != table[b][a]:
-                    raise HypothesisError("quotient group is not abelian")
+                    x, y = (cycle_string(group.elements[reps[c]]) for c in (a, b))
+                    raise HypothesisError(f"quotient group is not abelian: the cosets "
+                                          f"of {x} and {y} do not commute")
         self.mult_table = tuple(tuple(row) for row in table)
         self.cyclic_factors = tuple(_invariant_factors(self.mult_table))
         factor_size = 1
@@ -398,6 +401,9 @@ def quotient(G: FiniteGroup, N: Subgroup) -> AbelianQuotient:
     """The abelian quotient G/N; raises HypothesisError when assumptions fail."""
     if N.group is not G:
         raise ValueError("subgroup belongs to a different group")
-    if not is_normal(G, N):
-        raise HypothesisError("subgroup is not normal in the group")
+    witness = normality_witness(G, N)
+    if witness is not None:
+        g, h = (cycle_string(G.elements[x]) for x in witness)
+        raise HypothesisError(f"subgroup is not normal in the group: g*h*g^-1 is "
+                              f"outside it for the generator g = {g} and its member h = {h}")
     return AbelianQuotient(G, N)

@@ -70,7 +70,7 @@ class Theta:
         if not degree:
             values = [from_rational(0)] * table.classes.n_classes
         else:
-            mats, bound = table.class_matrices()
+            mats, bound = table.class_matrices, table.class_matrix_bound
             # theta's value at class k is a sum of theta(1) roots of unity of
             # order n_k, so every coefficient, and every partial sum of
             # m @ M_k in any order, is at most theta(1) * max|_power_table(n_k)|
@@ -98,7 +98,8 @@ class Theta:
         for row in table.rows:
             ip = inner_product(cf, row)
             if not ip.is_rational():
-                raise HypothesisError("the given values are not a character")
+                raise HypothesisError("the given values are not a character: their "
+                                      f"inner product with row {len(mults)} is {ip}")
             r = ip.as_rational()
             if r.denominator != 1 or r < 0:
                 raise HypothesisError(

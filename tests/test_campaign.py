@@ -5,7 +5,8 @@ subgroups first, then each new subgroup joined with every cyclic subgroup
 <x>, x outside it, by a plain closure, until nothing new appears.  Each pair
 runs every corpus check (`corpus._check_case`), the inversion round trip
 among them, and each G is cross-checked against `sympy.combinatorics`, an
-independent implementation.
+independent implementation, and its `table --json` against the Burnside
+oracle in `charoracle`, which shares no code with the package.
 
 Tier-1 runs S4.  Run as a script for another degree; it prints the counts
 and exits 1 on any failed check:
@@ -19,6 +20,7 @@ import time
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from charoracle import mismatches, spec_text, table_payload
 from cosetchar.corpus import _check_case
 from cosetchar.groupio import GroupSpec
 from cosetchar.groups import (
@@ -138,6 +140,12 @@ def sympy_disagreements(S, subgroups, G, gens):
     return [f"order {len(G)}: {w} differs from sympy" for w in wrong]
 
 
+def oracle_disagreements(S, G, gens):
+    """What `table --json` on G, over itself, and the oracle disagree on."""
+    payload = table_payload(spec_text(S.degree, images(S, gens), images(S, gens)))
+    return [f"order {len(G)}: table: {m}" for m in mismatches(payload)]
+
+
 S, SUBGROUPS, CASES = campaign(4)
 IDS = [f"G{i:02d}-order{len(G)}" for i, (G, _, _) in enumerate(CASES)]
 
@@ -159,6 +167,11 @@ def test_group_layer_agrees_with_sympy(G, gens):
     assert not sympy_disagreements(S, SUBGROUPS, G, gens)
 
 
+@pytest.mark.parametrize("G,gens", [(G, gens) for G, gens, _ in CASES], ids=IDS)
+def test_table_agrees_with_the_oracle(G, gens):
+    assert not oracle_disagreements(S, G, gens)
+
+
 def main(degree):
     start = time.perf_counter()
     S, subgroups, cases = campaign(degree)
@@ -168,6 +181,7 @@ def main(degree):
         ran, failed = pair_failures(S, subgroups, G, gens, normals)
         checks += ran
         failures += failed + sympy_disagreements(S, subgroups, G, gens)
+        failures += oracle_disagreements(S, G, gens)
     pairs = sum(len(normals) for _, _, normals in cases)
     print(f"S{degree}: {len(subgroups)} subgroups (enumerated in {enumerated:.1f} s), "
           f"{pairs} pairs, {checks} checks, {len(failures)} failures, "

@@ -19,7 +19,7 @@ from cosetchar.chartable import (
     restriction_norm,
 )
 from cosetchar.corpus import corpus_specs
-from cosetchar.cyclotomic import Cyclotomic, _power_table, from_rational, root_of_unity
+from cosetchar.cyclotomic import Cyclotomic, _power_table, from_rational
 from cosetchar.errors import InternalCheckError, ensure
 from cosetchar.groupio import build_group, parse_group_spec
 from cosetchar.groups import (
@@ -28,6 +28,7 @@ from cosetchar.groups import (
     subgroup_as_group,
     subgroup_generated,
 )
+from cosetchar.inversion import Theta
 from tablefixtures import TEXTBOOK_TABLES, from_cycles, tables_match
 
 
@@ -192,7 +193,7 @@ def fraction_certificate(table):
     for d in table.degrees:
         ensure(d >= 1 and G.order % d == 0, "degree does not divide the group order")
     for row in table.rows:
-        ensure(all(v.is_integral() for v in row.values),
+        ensure(all(c.denominator == 1 for v in row.values for c in v.coeffs),
                "character value is not an algebraic integer")
     for i in range(r):
         for j in range(i, r):
@@ -229,39 +230,41 @@ def test_both_certificates_accept_every_table(certified_tables):
 
 
 def _shift_one_value(table):
-    """The last value of the last row plus zeta_e - 1."""
-    i, k = table.n_rows - 1, table.classes.n_classes - 1
-    rows = [list(r.values) for r in table.rows]
-    rows[i][k] = rows[i][k] + root_of_unity(table.exponent) - 1
-    coeffs = table.coeffs.copy()
-    powers = np.array(_power_table(table.exponent))
-    coeffs[i, k] += powers[1] - powers[0]
-    return rows, coeffs
+    """The last row's multiplicities in the last class, with one unit moved
+    from zeta^0 to zeta^1: its value there plus zeta - 1."""
+    mults = [m.copy() for m in table.mults]
+    mults[-1][-1, 0] -= 1
+    mults[-1][-1, 1] += 1
+    return mults
 
 
 def _swap_two_rows_in_one_column(table):
-    """Row 0 and the first row that differs from it, swapped in the last column."""
-    k = table.classes.n_classes - 1
-    j = next(j for j in range(table.n_rows)
-             if table.rows[j].values[k] != table.rows[0].values[k])
-    rows = [list(r.values) for r in table.rows]
-    rows[0][k], rows[j][k] = rows[j][k], rows[0][k]
-    coeffs = table.coeffs.copy()
-    coeffs[[0, j], k] = coeffs[[j, 0], k]
-    return rows, coeffs
+    """Row 0 and the first row that differs from it, swapped in the last class."""
+    mults = [m.copy() for m in table.mults]
+    last = mults[-1]
+    j = next(j for j in range(table.n_rows) if not np.array_equal(last[j], last[0]))
+    last[[0, j]] = last[[j, 0]]
+    return mults
 
 
 @pytest.mark.parametrize("corrupt", [_shift_one_value, _swap_two_rows_in_one_column])
 @pytest.mark.parametrize("name", ["S3/A3", "Q8/Z", "GL2(3)/SL2(3)", "S6"])
 def test_both_certificates_reject_a_corrupted_table(certified_tables, corrupt, name):
     table = certified_tables[name][0]
-    rows, coeffs = corrupt(table)
-    bad = CharacterTable(table.group, table.classes,
-                         [ClassFunction(table.group, table.classes, r) for r in rows], coeffs)
+    bad = CharacterTable(table.group, table.classes, corrupt(table))
     with pytest.raises(InternalCheckError):
         fraction_certificate(bad)
     with pytest.raises(InternalCheckError):
         _certify_table(bad)
+
+
+def test_rows_are_the_characters_of_unit_multiplicities(certified_tables):
+    for name, (table, _) in certified_tables.items():
+        for i, row in enumerate(table.rows):
+            unit = [0] * table.n_rows
+            unit[i] = 1
+            assert Theta.from_multiplicities(table, unit).values == row.values, name
+            assert table.find_row(row.values) == i, name
 
 
 def _gram_oracle(X, weights, e):

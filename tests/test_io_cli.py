@@ -341,6 +341,30 @@ def test_cli_bad_theta_values_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec,witness", [
+    # S3 over <(0 1)>: the 3-cycle conjugates (0 1) to another transposition
+    ("degree 3\ngen 1 0 2\ngen 1 2 0\nnormal 1 0 2\n",
+     "subgroup is not normal in the group: g*h*g^-1 is outside it for the "
+     "generator g = (0 1 2) and its member h = (0 1)"),
+    ("degree 3\ngen 1 0 2\ngen 1 2 0\n",
+     "quotient group is not abelian: the cosets of (0 1 2) and (0 1) do not commute"),
+])
+def test_cli_hypothesis_errors_name_a_witness(tmp_path, capsys, spec, witness):
+    path = tmp_path / "s3.group"
+    path.write_text(spec)
+    assert main(["table", str(path)]) == 3
+    assert capsys.readouterr().err == f"hypothesis violated: {witness}\n"
+
+
+def test_cli_non_character_names_its_row(tmp_path, capsys):
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"values": [1, {"order": 4, "coeffs": [[0, 1], [1, 1]]}, 0, 0, 0]}')
+    assert main(["invert", fixture("f5.group"), "--theta", str(theta)]) == 3
+    assert capsys.readouterr().err == (
+        "hypothesis violated: the given values are not a character: their inner "
+        "product with row 0 is 1/20 + 1/4*z20^5\n")
+
+
 def test_cli_theta_zero_denominator_exits_two(tmp_path, capsys):
     theta = tmp_path / "theta.json"
     theta.write_text('{"values": [[1, 0], 1, 1, 1, 1]}')
